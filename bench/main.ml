@@ -35,6 +35,10 @@ let micro_tests () =
   let module G = Problems.Generators in
   let module D = Problems.Decide in
   let fp_inst = G.yes_instance st D.Multiset_equality ~m:64 ~n:12 in
+  (* one Theorem 8(a) term at the perfbench size: p2 > 2^56 (Montgomery
+     path) and a 24-bit exponent, the width of e_i = v_i mod p1 at n = 24 *)
+  let pm_p2 = Numtheory.bertrand_prime (Numtheory.fingerprint_k ~m:40000 ~n:24) in
+  let pm_x = pm_p2 / 3 and pm_e = 0xA5C3F1 in
   let sort_items =
     List.init 256 (fun i -> Printf.sprintf "%05d" ((i * 7919) mod 256))
   in
@@ -196,6 +200,8 @@ let micro_tests () =
            ignore
              (Turing.Machine.run_deterministic tm
                 ~input:(String.make 32 '0' ^ "#" ^ String.make 32 '0' ^ "#"))));
+    Test.make ~name:"numtheory-pow-mod-m40000"
+      (Staged.stage (fun () -> ignore (Numtheory.pow_mod pm_x pm_e pm_p2)));
     Test.make ~name:"random-prime-le-k66560"
       (Staged.stage (fun () -> ignore (Numtheory.random_prime_le st 66_560)));
     Test.make ~name:"pool-monte-carlo-j4-100"

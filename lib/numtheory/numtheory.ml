@@ -1,34 +1,113 @@
 let add_mod a b m =
-  (* a, b < m < 2^61 so a + b < 2^62: no overflow. *)
-  let s = a + b in
-  if s >= m then s - m else s
+  (* a, b < m < 2^62: a - (m - b) lies in (-m, m), so nothing overflows *)
+  let s = a - (m - b) in
+  if s < 0 then s + m else s
 
-let mul_mod a b m =
+(* ---- Word-level Montgomery arithmetic, R = 2^62 ----
+   OCaml ints wrap modulo 2^63, so [a * b land max_int] is the exact low
+   62-bit word of a product; the high word is assembled from four
+   31 x 31-bit limb products, each below 2^62. The per-modulus constants
+   are recomputed on every call: no cache, no shared state. *)
+
+let mask31 = (1 lsl 31) - 1
+
+(* floor (a * b / 2^62) for 0 <= a, b < 2^62 *)
+let[@inline] mulhi a b =
+  let a0 = a land mask31 and a1 = a lsr 31 in
+  let b0 = b land mask31 and b1 = b lsr 31 in
+  let a0b1 = a0 * b1 and a1b0 = a1 * b0 in
+  let mid = ((a0 * b0) lsr 31) + (a0b1 land mask31) + (a1b0 land mask31) in
+  (a1 * b1) + (a0b1 lsr 31) + (a1b0 lsr 31) + (mid lsr 31)
+
+(* -m^-1 mod 2^62 for odd m: m * m = 1 mod 8 seeds 3 correct bits and
+   each Newton step x <- x (2 - m x) doubles them (3 -> 96 in 5 steps) *)
+let neg_inv m =
+  let x = ref m in
+  for _ = 1 to 5 do
+    x := !x * (2 - (m * !x))
+  done;
+  - !x land max_int
+
+(* a * 2^62 mod m, the Montgomery form of a < m, by 62 doublings; each
+   doubling a - (m - a) stays in (-m, m) for every m < 2^62 *)
+let to_mont a m =
+  let x = ref a in
+  for _ = 1 to 62 do
+    let d = !x - (m - !x) in
+    x := if d < 0 then d + m else d
+  done;
+  !x
+
+(* REDC of a * b: a * b * 2^-62 mod m, for a, b < m odd and
+   minv = -m^-1 mod 2^62. With u = lo * minv mod 2^62 the sum
+   lo + (u * m mod 2^62) is 0 or exactly 2^62, so the quotient is
+   hi + mulhi u m + [lo <> 0] < 2m; read it unsigned, subtract m once. *)
+let[@inline] mont_mul a b m minv =
+  let lo = a * b land max_int in
+  let u = lo * minv land max_int in
+  let t = mulhi a b + mulhi u m + Bool.to_int (lo <> 0) in
+  if t < 0 || t >= m then t - m else t
+
+(* Even m = 2^s * q with q odd: [odd q] is the residue mod q, [low mask]
+   the residue mod 2^s (mask = 2^s - 1); recombine them by CRT. *)
+let crt_even m ~odd ~low =
+  let s = ref 1 in
+  while (m lsr !s) land 1 = 0 do
+    incr s
+  done;
+  let q = m lsr !s and mask = (1 lsl !s) - 1 in
+  let rq = if q = 1 then 0 else odd q in
+  (* q^-1 mod 2^s *)
+  let qinv = - neg_inv q in
+  rq + (q * ((low mask - rq) * qinv land mask))
+
+(* a mod m in [0, m); (a mod m) + m would overflow for m >= 2^61 *)
+let reduce a m =
+  let r = a mod m in
+  if r < 0 then r + m else r
+
+let rec mul_mod a b m =
   if m <= 0 then invalid_arg "Numtheory.mul_mod: modulus";
-  let a = ((a mod m) + m) mod m in
-  let b = ((b mod m) + m) mod m in
+  let a = reduce a m and b = reduce b m in
   if m < 1 lsl 31 then a * b mod m
-  else begin
-    (* double-and-add: invariant acc, base < m < 2^61 *)
-    let acc = ref 0 and base = ref a and e = ref b in
-    while !e > 0 do
-      if !e land 1 = 1 then acc := add_mod !acc !base m;
-      base := add_mod !base !base m;
-      e := !e lsr 1
-    done;
-    !acc
-  end
+  else if m land 1 = 1 then mont_mul (to_mont a m) b m (neg_inv m)
+  else crt_even m ~odd:(mul_mod a b) ~low:(fun mask -> a * b land mask)
 
-let pow_mod b e m =
+(* Square-and-multiply ladders, one per representation. Top-level and
+   closure-free, so a call allocates nothing. *)
+let rec ladder_direct acc base e m =
+  if e = 0 then acc
+  else
+    ladder_direct
+      (if e land 1 = 1 then acc * base mod m else acc)
+      (base * base mod m) (e lsr 1) m
+
+let rec ladder_mont acc base e m minv =
+  if e = 0 then acc
+  else
+    ladder_mont
+      (if e land 1 = 1 then mont_mul acc base m minv else acc)
+      (mont_mul base base m minv) (e lsr 1) m minv
+
+let rec ladder_pow2 acc base e mask =
+  if e = 0 then acc
+  else
+    ladder_pow2
+      (if e land 1 = 1 then acc * base land mask else acc)
+      (base * base land mask) (e lsr 1) mask
+
+let rec pow_mod b e m =
   if e < 0 then invalid_arg "Numtheory.pow_mod: negative exponent";
   if m <= 0 then invalid_arg "Numtheory.pow_mod: modulus";
-  let acc = ref 1 and base = ref (((b mod m) + m) mod m) and e = ref e in
-  while !e > 0 do
-    if !e land 1 = 1 then acc := mul_mod !acc !base m;
-    base := mul_mod !base !base m;
-    e := !e lsr 1
-  done;
-  !acc
+  let b = reduce b m in
+  if m < 1 lsl 31 then ladder_direct (1 mod m) b e m
+  else if m land 1 = 1 then begin
+    (* the whole ladder runs in Montgomery form; R mod m stands for 1 *)
+    let minv = neg_inv m in
+    let r = ladder_mont ((max_int mod m) + 1) (to_mont b m) e m minv in
+    mont_mul r 1 m minv
+  end
+  else crt_even m ~odd:(pow_mod b e) ~low:(fun mask -> ladder_pow2 1 b e mask)
 
 (* Deterministic Miller-Rabin witness set, valid for n < 3.3e24. *)
 let mr_witnesses = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37 ]

@@ -5,26 +5,38 @@
     [p2 ∈ (3k, 6k]] (Bertrand's postulate); arithmetic modulo [p2]; and
     the residue of a long bit string modulo [p1], computed in one
     streaming pass. All arithmetic stays within OCaml's 63-bit native
-    integers: multiplication modulo large moduli uses binary
-    (double-and-add) reduction, so moduli up to [2^61] are safe without
-    an external bignum dependency. *)
+    integers and is exact for every modulus [m < 2^62] (every positive
+    [int]), with no bignum dependency. Below [2^31] a product fits in a
+    word and is reduced directly. At and above [2^31], odd moduli use
+    word-level Montgomery multiplication with [R = 2^62]: the low word
+    of a product is the wrapped native product, the high word is built
+    from four 31×31-bit limb products, and the per-modulus constants
+    ([−m⁻¹ mod 2^62] by Newton iteration, Montgomery form by 62
+    doublings) are recomputed on every call, so there is no cache and
+    no shared state. An even modulus [m = 2^s·q] is reduced modulo the
+    odd [q] that way and modulo [2^s] by masking, then recombined by
+    CRT. *)
 
 val add_mod : int -> int -> int -> int
 (** [add_mod a b m] is [(a + b) mod m] without overflow for
-    [0 ≤ a, b < m < 2^61]. *)
+    [0 ≤ a, b < m], any [m < 2^62]. *)
 
 val mul_mod : int -> int -> int -> int
-(** [mul_mod a b m] is [(a · b) mod m], overflow-safe for [m < 2^61];
-    uses direct multiplication when [m < 2^31]. Arguments are reduced
-    first. @raise Invalid_argument if [m <= 0]. *)
+(** [mul_mod a b m] is [(a · b) mod m], exact for every [m] in
+    [\[1, 2^62)], odd or even: direct multiplication when [m < 2^31],
+    Montgomery above (CRT for even [m]). Arguments, negative ones
+    included, are reduced first. @raise Invalid_argument if [m <= 0]. *)
 
 val pow_mod : int -> int -> int -> int
-(** [pow_mod b e m] is [b^e mod m] for [e ≥ 0], overflow-safe.
+(** [pow_mod b e m] is [b^e mod m] for [e ≥ 0], exact for every [m] in
+    [\[1, 2^62)]. For odd [m ≥ 2^31] the whole square-and-multiply
+    ladder runs in Montgomery form; a call allocates nothing.
     @raise Invalid_argument if [e < 0] or [m <= 0]. *)
 
 val is_prime : int -> bool
 (** Deterministic Miller–Rabin, correct for all [n < 2^62] (uses the
-    standard 12-witness base set valid below 3.3·10^24). *)
+    standard 12-witness base set valid below 3.3·10^24, on the exact
+    {!pow_mod}/{!mul_mod} above). *)
 
 val next_prime : int -> int
 (** Smallest prime strictly greater than the argument. *)

@@ -7,6 +7,11 @@ module N = Numtheory
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+module Oracle = Numtheory_oracle
+
+(* 2^62 - 57, the largest prime below 2^62 *)
+let p62 = (1 lsl 62) - 57
+
 let test_add_mod () =
   check_int "simple" 1 (N.add_mod 3 5 7);
   check_int "no overflow near 2^61" 0
@@ -23,6 +28,19 @@ let test_mul_mod_large () =
   let m = 2305843009213693951 in
   check_int "(m-1)^2 mod m = 1" 1 (N.mul_mod (m - 1) (m - 1) m);
   check_int "(m-1)*2 mod m = m-2" (m - 2) (N.mul_mod (m - 1) 2 m)
+
+let test_above_2_61 () =
+  check "is_prime (2^62-57)" true (N.is_prime p62);
+  check_int "(m-1)^2 = 1 at 2^62-57" 1 (N.mul_mod (p62 - 1) (p62 - 1) p62);
+  check_int "fermat at 2^62-57" 1 (N.pow_mod 2 (p62 - 1) p62);
+  check_int "add_mod at 2^62-57" (p62 - 2) (N.add_mod (p62 - 1) (p62 - 1) p62);
+  (* the largest modulus of each parity: 2^62 - 1 = 3 * 715827883 * 2147483647
+     and 2^62 - 2 = 2 * (2^61 - 1) *)
+  let m = max_int in
+  check_int "(m-1)^2 at 2^62-1" 1 (N.mul_mod (m - 1) (m - 1) m);
+  check_int "(m-1)^2 at 2^62-2" 1 (N.mul_mod (m - 2) (m - 2) (m - 1));
+  (* 2^122 is 1 mod 2^61 - 1 and 0 mod 2, hence 2^61 by CRT *)
+  check_int "2^61 squared mod 2^62-2" (1 lsl 61) (N.mul_mod (1 lsl 61) (1 lsl 61) (m - 1))
 
 let test_pow_mod () =
   check_int "2^10 mod 1000" 24 (N.pow_mod 2 10 1000);
@@ -110,6 +128,52 @@ let prop_pow_mod_adds_exponents =
       let p = 1000000007 in
       N.pow_mod x (a + b) p = N.mul_mod (N.pow_mod x a p) (N.pow_mod x b p) p)
 
+(* Moduli in [2^31, 2^61), where the oracle is exact: odd for [parity]
+   1, else even m = 2^s * q with s in [1, 60] and q odd (s = 60 gives
+   2^60 itself). *)
+let modulus parity =
+  QCheck.Gen.(
+    if parity = 1 then map (fun m -> m lor 1) (int_range (1 lsl 31) ((1 lsl 61) - 1))
+    else
+      int_range 1 60 >>= fun s ->
+      map
+        (fun q -> (q lor 1) lsl s)
+        (int_range (1 lsl max 0 (31 - s)) ((1 lsl (61 - s)) - 1)))
+
+let operand m =
+  QCheck.Gen.(
+    oneof
+      [
+        int;
+        oneofl
+          [ 0; 1; m - 1; m - 2; 1 lsl 31; (1 lsl 31) + 1; (1 lsl 61) - 1; -1; -m + 1 ];
+      ])
+
+let with_modulus gen =
+  QCheck.make
+    ~print:QCheck.Print.(quad int int int int)
+    QCheck.Gen.(
+      int_bound 1 >>= fun parity ->
+      modulus parity >>= fun m ->
+      map (fun ((a, b), e) -> (a, b, e, m)) (pair (pair (operand m) (operand m)) gen))
+
+let prop_mul_mod_oracle =
+  QCheck.Test.make ~name:"mul_mod = oracle on [2^31, 2^61), odd and even" ~count:2000
+    (with_modulus (QCheck.Gen.return 0))
+    (fun (a, b, _, m) -> N.mul_mod a b m = Oracle.mul_mod a b m)
+
+let prop_pow_mod_oracle =
+  QCheck.Test.make ~name:"pow_mod = oracle on [2^31, 2^61), odd and even" ~count:500
+    (with_modulus QCheck.Gen.(oneof [ int_bound (1 lsl 24); int_bound max_int ]))
+    (fun (a, _, e, m) -> N.pow_mod a e m = Oracle.pow_mod a e m)
+
+let prop_is_prime_40_bit =
+  (* Miller-Rabin against trial division by the sieved primes < 2^20 *)
+  let small = N.primes_upto (1 lsl 20) in
+  QCheck.Test.make ~name:"is_prime = trial division on 40-bit odd n" ~count:300
+    QCheck.(make Gen.(map (fun n -> n lor 1 lor (1 lsl 39)) (int_bound ((1 lsl 40) - 1))))
+    (fun n -> N.is_prime n = List.for_all (fun p -> n mod p <> 0) small)
+
 let test_fingerprint_k () =
   (* k = m^3 * n * ceil(log2 (m^3 n)) *)
   check_int "m=2,n=2" (8 * 2 * 4) (N.fingerprint_k ~m:2 ~n:2);
@@ -128,6 +192,9 @@ let () =
           Alcotest.test_case "mul_mod small" `Quick test_mul_mod_small;
           Alcotest.test_case "mul_mod large" `Quick test_mul_mod_large;
           Alcotest.test_case "pow_mod" `Quick test_pow_mod;
+          Alcotest.test_case "moduli above 2^61" `Quick test_above_2_61;
+          QCheck_alcotest.to_alcotest prop_mul_mod_oracle;
+          QCheck_alcotest.to_alcotest prop_pow_mod_oracle;
           QCheck_alcotest.to_alcotest prop_mul_mod_matches_small;
           QCheck_alcotest.to_alcotest prop_mul_mod_large_associative;
           QCheck_alcotest.to_alcotest prop_pow_mod_adds_exponents;
@@ -136,6 +203,7 @@ let () =
         [
           Alcotest.test_case "MR vs sieve" `Quick test_is_prime_small;
           Alcotest.test_case "known primes" `Quick test_is_prime_known;
+          QCheck_alcotest.to_alcotest prop_is_prime_40_bit;
           Alcotest.test_case "next_prime" `Quick test_next_prime;
           Alcotest.test_case "bertrand" `Quick test_bertrand;
           Alcotest.test_case "random prime" `Quick test_random_prime_le;
