@@ -5,7 +5,7 @@
      gen         generate problem instances
      decide      run a decider (reference / sort / fingerprint / nst)
      adversary   run the Lemma 21 attack on a staircase list machine
-     experiment  run one (or all) of the E1..E22 experiment tables,
+     experiment  run one (or all) of the E1..E21 experiment tables,
                  optionally journaling/resuming via --checkpoint and
                  emitting a JSONL event trace via --trace
      serve       expose the deciders over a Unix-domain socket (stlb/1,
@@ -605,9 +605,8 @@ let adversary_cmd =
       c.Stcore.Adversary.fingerprint c.Stcore.Adversary.chosen_seed
       c.Stcore.Adversary.hits c.Stcore.Adversary.samples
       c.Stcore.Adversary.classes;
-    Printf.printf "census work: machine-runs=%d canonical-hits=%d shards-merged=%d\n"
-      c.Stcore.Adversary.machine_runs c.Stcore.Adversary.canonical_hits
-      c.Stcore.Adversary.shards_merged;
+    Printf.printf "census work: machine-runs=%d canonical-hits=%d\n"
+      c.Stcore.Adversary.machine_runs c.Stcore.Adversary.canonical_hits;
     Obs.Trace.emit_current ~event:"census"
       [
         ("fingerprint", Obs.Trace.String (Printf.sprintf "0x%016Lx" c.Stcore.Adversary.fingerprint));
@@ -615,31 +614,9 @@ let adversary_cmd =
         ("hits", Obs.Trace.Int c.Stcore.Adversary.hits);
         ("samples", Obs.Trace.Int c.Stcore.Adversary.samples);
         ("classes", Obs.Trace.Int c.Stcore.Adversary.classes);
-        ("shards_merged", Obs.Trace.Int c.Stcore.Adversary.shards_merged);
       ]
   in
-  let backend_of intern spill_dir =
-    match intern with
-    | `Mem -> Listmachine.Skeleton.Intern.Ram
-    | (`File | `Shard) as kind ->
-        let dir =
-          match spill_dir with
-          | Some d -> d
-          | None ->
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "stlb-census-%d" (Unix.getpid ()))
-        in
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        let spec =
-          match kind with
-          | `File -> Tape.Device.file_spec dir
-          | `Shard -> Tape.Device.shard_spec dir
-        in
-        Listmachine.Skeleton.Intern.Spill { spec; recent = 64 }
-  in
-  let run seed jobs m chains optimistic canon intern spill_dir shard out merges
-      trace =
+  let run seed jobs m chains optimistic canon trace =
     apply_jobs jobs;
     with_trace trace @@ fun () ->
     let st = state_of seed in
@@ -649,59 +626,10 @@ let adversary_cmd =
     let machine =
       Listmachine.Machines.staircase_checkphi ~space ~chains ~optimistic
     in
-    let backend = backend_of intern spill_dir in
-    match merges with
-    | _ :: _ ->
-        (* fold shard evidence files into the single-process verdict *)
-        let read_evidence path =
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          Stcore.Adversary.Shard.of_string s
-        in
-        Printf.printf "machine: %s (complete coverage needs %d chains)\n"
-          machine.Listmachine.Nlm.name needed;
-        print_census ~space ~machine
-          (Stcore.Adversary.Shard.merge ~space ~machine
-             (List.map read_evidence merges))
-    | [] -> (
-        let i, k = shard in
-        if k = 1 && out = None then begin
-          (* the direct path: collect 1/1 + merge, one process *)
-          Printf.printf "machine: %s (complete coverage needs %d chains)\n"
-            machine.Listmachine.Nlm.name needed;
-          print_census ~space ~machine
-            (Stcore.Adversary.attack_census ~canon ~intern:backend st ~space
-               ~machine ())
-        end
-        else begin
-          (* collect one shard's evidence; merge happens in --merge mode *)
-          let root = Parallel.Rng.seed_of_state st in
-          let ev =
-            Stcore.Adversary.Shard.collect ~canon ~intern:backend ~root ~space
-              ~machine ~shard:i ~of_:k ()
-          in
-          let s = Stcore.Adversary.Shard.to_string ev in
-          match out with
-          | None -> print_string s
-          | Some path ->
-              let oc = open_out_bin path in
-              output_string oc s;
-              close_out oc;
-              Printf.printf
-                "shard %d/%d: accepted-records=%d classes=%d machine-runs=%d \
-                 canonical-hits=%d fingerprint=0x%016Lx -> %s\n"
-                i k
-                (Array.fold_left
-                   (fun a t -> a + Array.length t)
-                   0 ev.Stcore.Adversary.Shard.accepted)
-                (Array.length ev.Stcore.Adversary.Shard.classes)
-                ev.Stcore.Adversary.Shard.machine_runs
-                ev.Stcore.Adversary.Shard.canonical_hits
-                (Stcore.Adversary.Shard.fingerprint ev)
-                path
-        end)
+    Printf.printf "machine: %s (complete coverage needs %d chains)\n"
+      machine.Listmachine.Nlm.name needed;
+    print_census ~space ~machine
+      (Stcore.Adversary.attack_census ~canon st ~space ~machine ())
   in
   let chains_arg =
     let doc = "Verified chains (default: one fewer than needed for completeness)." in
@@ -719,62 +647,11 @@ let adversary_cmd =
     in
     Arg.(value & opt bool true & info [ "canon" ] ~doc)
   in
-  let intern_arg =
-    let doc =
-      "Census intern table backend: $(b,mem) (RAM-resident), $(b,file) or \
-       $(b,shard) (two-tier, spilled to a Tape.Device under --spill-dir). \
-       The verdict and fingerprint are identical for all three."
-    in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("mem", `Mem); ("file", `File); ("shard", `Shard) ]) `Mem
-      & info [ "intern" ] ~docv:"BACKEND" ~doc)
-  in
-  let spill_dir_arg =
-    let doc =
-      "Directory for the spilled census table (created if missing; default: a \
-       per-process directory under the system temp dir)."
-    in
-    Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR" ~doc)
-  in
-  let shard_arg =
-    let parse s =
-      match String.split_on_char '/' s with
-      | [ i; k ] -> (
-          match (int_of_string_opt i, int_of_string_opt k) with
-          | Some i, Some k when 1 <= i && i <= k -> Ok (i, k)
-          | _ -> Error (`Msg "expected I/K with 1 <= I <= K"))
-      | _ -> Error (`Msg "expected I/K, e.g. 2/4")
-    in
-    let print ppf (i, k) = Format.fprintf ppf "%d/%d" i k in
-    let doc =
-      "Census only the sample indices owned by shard $(b,I) of $(b,K) \
-       (1-based; ownership is index mod K) and emit mergeable evidence \
-       instead of a verdict - to stdout, or to --out. Fold a complete set \
-       back with --merge."
-    in
-    Arg.(
-      value
-      & opt (Arg.conv (parse, print)) (1, 1)
-      & info [ "shard" ] ~docv:"I/K" ~doc)
-  in
-  let out_arg =
-    let doc = "Write this shard's evidence to $(docv) (with a summary line on stdout)." in
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
-  in
-  let merge_arg =
-    let doc =
-      "Merge shard evidence files (repeatable; pass one per shard) into the \
-       exact single-process verdict and fingerprint."
-    in
-    Arg.(value & opt_all string [] & info [ "merge" ] ~docv:"FILE" ~doc)
-  in
   let doc = "Run the Lemma 21 adversary against a staircase CHECK-phi machine." in
   Cmd.v (Cmd.info "adversary" ~doc)
     Term.(
       const run $ seed_arg $ jobs_arg $ m_arg 8 $ chains_arg $ optimistic_arg
-      $ canon_arg $ intern_arg $ spill_dir_arg $ shard_arg $ out_arg $ merge_arg
-      $ trace_arg)
+      $ canon_arg $ trace_arg)
 
 let experiment_cmd =
   let run jobs checkpoint trace name =
@@ -787,11 +664,11 @@ let experiment_cmd =
         match List.assoc_opt name Harness.Experiments.all with
         | Some f -> Harness.Checkpoint.run checkpoint ~name f
         | None ->
-            Printf.eprintf "unknown experiment %S (exp1..exp22 or all)\n" name;
+            Printf.eprintf "unknown experiment %S (exp1..exp21 or all)\n" name;
             exit 1)
   in
   let name_arg =
-    let doc = "Experiment name: exp1..exp22, or all." in
+    let doc = "Experiment name: exp1..exp21, or all." in
     Arg.(value & pos 0 string "all" & info [] ~docv:"NAME" ~doc)
   in
   let checkpoint_arg =

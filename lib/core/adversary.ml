@@ -43,14 +43,12 @@ let run_with ~fuel machine ~seed inst =
    keyed on (root, index): samples at indices [0 .. yes_samples-1],
    candidate choice seeds after them, resampling states after those. So
    the whole attack is a function of the root seed — independent of the
-   pool's worker count and of how the sample space is sharded across
-   processes, and replayable by passing [~seed]. *)
-let sample_index i = i
+   pool's worker count, and replayable by passing [~seed]. *)
 let trial_index ~yes_samples t = yes_samples + t
 let resample_index ~yes_samples ~choice_trials n = yes_samples + choice_trials + n
 
 let sample_at ~root space i =
-  G.Checkphi.yes (Parallel.Rng.state ~seed:root ~index:(sample_index i)) space
+  G.Checkphi.yes (Parallel.Rng.state ~seed:root ~index:i) space
 
 let trial_seeds ~machine ~root ~yes_samples ~choice_trials =
   if machine.Nlm.num_choices = 1 then [| 0 |]
@@ -210,14 +208,12 @@ type census = {
   classes : int;
   canonical_hits : int;
   machine_runs : int;
-  shards_merged : int;
 }
 
-(* The mergeable outcome fingerprint: FNV-1a 64 over a canonical
-   rendering of the verdict and the census summary. Every field in the
-   rendering is invariant under worker count, intern backend, canonical
-   reduction and sharding, so equality of fingerprints is exactly the
-   bit-identity the acceptance criterion asks for. *)
+(* The outcome fingerprint: FNV-1a 64 over a canonical rendering of the
+   verdict and the census summary. Every field in the rendering is
+   invariant under worker count and canonical reduction, so equality of
+   fingerprints is exactly the bit-identity those levers promise. *)
 let fingerprint_of ~root ~m ~n ~chosen_seed ~hits ~samples ~classes outcome =
   let body =
     match outcome with
@@ -230,503 +226,192 @@ let fingerprint_of ~root ~m ~n ~chosen_seed ~hits ~samples ~classes outcome =
     (Printf.sprintf "stlb-census root=%d m=%d n=%d seed=%d hits=%d/%d classes=%d %s"
        root m n chosen_seed hits samples classes body)
 
-module Shard = struct
-  type cls = { digest : int64; uncompared : int list }
+(* a scripted machine visits one state per step, so the budget must
+   cover the script (the m = 128 staircase alone plans past 200k steps) *)
+let default_fuel machine = max 200_000 (2 * machine.Nlm.state_count)
 
-  type evidence = {
-    root : int;
-    m : int;
-    n : int;
-    machine_name : string;
-    yes_samples : int;
-    choice_trials : int;
-    resample_tries : int;
-    fuel : int;
-    canon : bool;
-    shard : int;
-    shards : int;
-    trial_seeds : int array;
-    accepted : (int * int) array array;
-    classes : cls array;
-    canonical_hits : int;
-    machine_runs : int;
-  }
-
-  let magic = "stlb-census-evidence/1"
-
-  let to_string e =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf magic;
-    Buffer.add_char buf '\n';
-    Printf.bprintf buf
-      "root=%d m=%d n=%d yes=%d trials=%d resample=%d fuel=%d canon=%b \
-       shard=%d/%d canonhits=%d runs=%d\n"
-      e.root e.m e.n e.yes_samples e.choice_trials e.resample_tries e.fuel
-      e.canon e.shard e.shards e.canonical_hits e.machine_runs;
-    Printf.bprintf buf "machine=%s\n" e.machine_name;
-    Printf.bprintf buf "seeds=%s\n"
-      (String.concat "," (Array.to_list (Array.map string_of_int e.trial_seeds)));
-    Printf.bprintf buf "classes=%d\n" (Array.length e.classes);
-    Array.iter
-      (fun c ->
-        Printf.bprintf buf "class %016Lx %s\n" c.digest
-          (match c.uncompared with
-          | [] -> "-"
-          | l -> String.concat "," (List.map string_of_int l)))
-      e.classes;
+(* Steps 4-5: two members [v, w] of the class ζ that differ only in the
+   value at x-position [i0] (hence also at y-position phi(i0)). First
+   look for a sampled pair, then actively resample the i0 value of the
+   first member, keeping a variant whose run accepts with skeleton ζ. *)
+let find_pair r ~space ~root ~seed ~yes_samples ~choice_trials ~resample_tries
+    ~zeta ~members i0 =
+  let key_of inst =
+    let buf = Buffer.create 64 in
     Array.iteri
-      (fun t acc ->
-        Printf.bprintf buf "trial %d %d" t (Array.length acc);
-        Array.iter (fun (i, c) -> Printf.bprintf buf " %d:%d" i c) acc;
-        Buffer.add_char buf '\n')
-      e.accepted;
-    Buffer.add_string buf "end\n";
+      (fun idx x ->
+        if idx <> i0 - 1 then begin
+          Buffer.add_string buf (B.to_string x);
+          Buffer.add_char buf '#'
+        end)
+      (I.xs inst);
     Buffer.contents buf
+  in
+  let first_with = Hashtbl.create 16 in
+  let sampled =
+    List.find_map
+      (fun inst ->
+        let key = key_of inst in
+        match Hashtbl.find_opt first_with key with
+        | Some a when not (B.equal (I.x a i0) (I.x inst i0)) -> Some (a, inst)
+        | Some _ -> None
+        | None ->
+            Hashtbl.add first_with key inst;
+            None)
+      members
+  in
+  match sampled with
+  | Some p -> Some p
+  | None ->
+      let witness = List.hd members in
+      let phi = G.Checkphi.phi space in
+      let inv = G.Checkphi.inv_phi space in
+      let m = P.size phi in
+      let intervals = G.Checkphi.intervals space in
+      let rec try_ n =
+        if n > resample_tries then None
+        else
+          let rng =
+            Parallel.Rng.state ~seed:root
+              ~index:(resample_index ~yes_samples ~choice_trials n)
+          in
+          let fresh = Problems.Intervals.random_element rng intervals (P.apply phi i0) in
+          if B.equal fresh (I.x witness i0) then try_ (n + 1)
+          else begin
+            let xs = I.xs witness in
+            xs.(i0 - 1) <- fresh;
+            let ys = Array.init m (fun j0 -> xs.(P.apply inv (j0 + 1) - 1)) in
+            let candidate = I.make xs ys in
+            match run_memo r ~seed candidate with
+            | true, Some sk when Skeleton.equal sk zeta -> Some (witness, candidate)
+            | _ -> try_ (n + 1)
+          end
+      in
+      try_ 1
 
-  let of_string s =
-    let fail msg = failwith ("Adversary.Shard.of_string: " ^ msg) in
-    let ints_of_csv str =
-      if str = "" then []
-      else List.map int_of_string (String.split_on_char ',' str)
-    in
-    let after ~prefix line =
-      let lp = String.length prefix in
-      if String.length line >= lp && String.sub line 0 lp = prefix then
-        String.sub line lp (String.length line - lp)
-      else fail (Printf.sprintf "expected %S line" prefix)
-    in
-    match String.split_on_char '\n' s with
-    | m0 :: header :: machine_line :: seeds_line :: nclasses_line :: rest ->
-        if m0 <> magic then fail "bad magic";
-        let root, m, n, yes, trials, resample, fuel, canon, shard, shards, ch, runs
-            =
-          try
-            Scanf.sscanf header
-              "root=%d m=%d n=%d yes=%d trials=%d resample=%d fuel=%d \
-               canon=%B shard=%d/%d canonhits=%d runs=%d"
-              (fun a b c d e f g h i j k l -> (a, b, c, d, e, f, g, h, i, j, k, l))
-          with Scanf.Scan_failure _ | End_of_file -> fail "bad header"
-        in
-        let machine_name = after ~prefix:"machine=" machine_line in
-        let trial_seeds =
-          Array.of_list (ints_of_csv (after ~prefix:"seeds=" seeds_line))
-        in
-        let nclasses =
-          try Scanf.sscanf nclasses_line "classes=%d" Fun.id
-          with Scanf.Scan_failure _ | End_of_file -> fail "bad classes line"
-        in
-        let rec take_classes k acc rest =
-          if k = 0 then (Array.of_list (List.rev acc), rest)
-          else
-            match rest with
-            | line :: rest ->
-                let c =
-                  try
-                    Scanf.sscanf line "class %Lx %s" (fun digest u ->
-                        { digest; uncompared = (if u = "-" then [] else ints_of_csv u) })
-                  with Scanf.Scan_failure _ | End_of_file -> fail "bad class line"
-                in
-                take_classes (k - 1) (c :: acc) rest
-            | [] -> fail "truncated class list"
-        in
-        let classes, rest = take_classes nclasses [] rest in
-        let parse_trial t line =
-          match String.split_on_char ' ' line with
-          | "trial" :: ts :: cnt :: pairs ->
-              if int_of_string ts <> t then fail "trial records out of order";
-              let cnt = int_of_string cnt in
-              if List.length pairs <> cnt then fail "bad trial record count";
-              Array.of_list
-                (List.map
-                   (fun p ->
-                     match String.split_on_char ':' p with
-                     | [ i; c ] -> (int_of_string i, int_of_string c)
-                     | _ -> fail "bad sample record")
-                   pairs)
-          | _ -> fail "bad trial line"
-        in
-        let rec take_trials t acc rest =
-          if t = Array.length trial_seeds then (Array.of_list (List.rev acc), rest)
-          else
-            match rest with
-            | line :: rest -> take_trials (t + 1) (parse_trial t line :: acc) rest
-            | [] -> fail "truncated trial list"
-        in
-        let accepted, rest = take_trials 0 [] rest in
-        (match rest with
-        | "end" :: _ -> ()
-        | _ -> fail "missing end marker");
-        {
-          root;
-          m;
-          n;
-          machine_name;
-          yes_samples = yes;
-          choice_trials = trials;
-          resample_tries = resample;
-          fuel;
-          canon;
-          shard;
-          shards;
-          trial_seeds;
-          accepted;
-          classes;
-          canonical_hits = ch;
-          machine_runs = runs;
-        }
-    | _ -> fail "truncated evidence"
-
-  let fingerprint e = Skeleton.fnv64 (to_string e)
-
-  let collect ?pool ?(canon = true) ?(intern = Skeleton.Intern.Ram) ~root ~space
-      ~machine ?(yes_samples = 48) ?(choice_trials = 8) ?(resample_tries = 32)
-      ?fuel ~shard ~of_:shards () =
-    if shards < 1 || shard < 1 || shard > shards then
-      invalid_arg "Adversary.Shard.collect: shard index out of range";
-    (* a scripted machine visits one state per step, so the default
-       budget must cover the script: every shard derives the same
-       number from the same machine, keeping evidence mergeable *)
-    let fuel = match fuel with
-      | Some f -> f
-      | None -> max 200_000 (2 * machine.Nlm.state_count)
-    in
-    let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
-    let phi = G.Checkphi.phi space in
-    let m = P.size phi in
-    let n = Problems.Intervals.n (G.Checkphi.intervals space) in
-    (* this shard owns the sample indices congruent to shard-1 mod k;
-       every sample's stream is keyed on its global index, so ownership
-       is a partition of draws, not a reseeding *)
-    let owned =
-      Array.of_list
-        (List.filter (fun i -> i mod shards = shard - 1)
-           (List.init yes_samples Fun.id))
-    in
-    let insts = Array.map (fun i -> sample_at ~root space i) owned in
-    let seeds = trial_seeds ~machine ~root ~yes_samples ~choice_trials in
-    let r = make_runner ~machine ~fuel ~canon in
-    let tbl = Skeleton.Intern.create ~backend:intern () in
-    let classes = ref [] in
-    let n_classes = ref 0 in
-    let accepted =
-      Array.map
-        (fun seed ->
-          let results = sweep r pool ~seed insts in
-          let accs = ref [] in
-          Array.iteri
-            (fun j (acc, sk) ->
-              if acc then begin
-                let sk = Option.get sk in
-                let id, rep = Skeleton.Intern.intern tbl sk in
-                if id = !n_classes then begin
-                  (* fresh class: ids are dense, so this is its first
-                     sighting — digest once, for cross-shard identity *)
-                  classes :=
-                    {
-                      digest = Skeleton.digest rep;
-                      uncompared = Skeleton.uncompared_phi_indices rep ~m ~phi;
-                    }
-                    :: !classes;
-                  incr n_classes
-                end;
-                accs := (owned.(j), id) :: !accs
-              end)
-            results;
-          Array.of_list (List.rev !accs))
-        seeds
-    in
-    Skeleton.Intern.close tbl;
-    {
-      root;
-      m;
-      n;
-      machine_name = machine.Nlm.name;
-      yes_samples;
-      choice_trials;
-      resample_tries;
-      fuel;
-      canon;
-      shard;
-      shards;
-      trial_seeds = seeds;
-      accepted;
-      classes = Array.of_list (List.rev !classes);
-      canonical_hits = r.r_canon_hits;
-      machine_runs = r.r_runs;
-    }
-
-  let merge ~space ~machine evidences =
-    let evs = List.sort (fun a b -> compare a.shard b.shard) evidences in
-    let e0 =
-      match evs with
-      | [] -> invalid_arg "Adversary.Shard.merge: no evidence"
-      | e :: _ -> e
-    in
-    let k = e0.shards in
-    if List.length evs <> k then
-      failwith
-        (Printf.sprintf "Adversary.Shard.merge: have %d shard(s), expected %d"
-           (List.length evs) k);
-    List.iteri
-      (fun i e ->
-        if e.shard <> i + 1 then
-          failwith "Adversary.Shard.merge: duplicate or missing shard";
-        if
-          e.root <> e0.root || e.m <> e0.m || e.n <> e0.n
-          || e.machine_name <> e0.machine_name
-          || e.yes_samples <> e0.yes_samples
-          || e.choice_trials <> e0.choice_trials
-          || e.resample_tries <> e0.resample_tries
-          || e.fuel <> e0.fuel || e.canon <> e0.canon || e.shards <> k
-          || e.trial_seeds <> e0.trial_seeds
-        then failwith "Adversary.Shard.merge: inconsistent shard evidence")
-      evs;
-    let phi = G.Checkphi.phi space in
-    let m = P.size phi in
-    if m <> e0.m || Problems.Intervals.n (G.Checkphi.intervals space) <> e0.n then
-      invalid_arg "Adversary.Shard.merge: space does not match the evidence";
-    if machine.Nlm.name <> e0.machine_name then
-      invalid_arg "Adversary.Shard.merge: machine does not match the evidence";
-    Obs.Counters.add_census_shard_merges 1;
-    let root = e0.root and yes_samples = e0.yes_samples in
-    let evs_arr = Array.of_list evs in
-    (* Lemma 26 seed selection over the union of the shards' sample
-       records: per-trial hit totals, first strictly-better seed wins —
-       exactly the unsharded fold, because acceptance of sample i under
-       seed s is a pure fact either computation observes identically. *)
-    let best = ref None in
-    Array.iteri
-      (fun t seed ->
-        let hits =
-          Array.fold_left (fun a e -> a + Array.length e.accepted.(t)) 0 evs_arr
-        in
-        match !best with
-        | Some (_, _, best_hits) when best_hits >= hits -> ()
-        | Some _ | None -> best := Some (t, seed, hits))
-      e0.trial_seeds;
-    let best_t, seed, hits =
-      match !best with Some b -> b | None -> assert false
-    in
-    let yes_acceptance = float_of_int hits /. float_of_int yes_samples in
-    let r = make_runner ~machine ~fuel:e0.fuel ~canon:e0.canon in
-    let outcome, skeleton_classes =
-      if 2 * hits < yes_samples then (Contract_violated { yes_acceptance }, 0)
-      else begin
-        (* Merged census of the best trial: walk samples in index order
-           and re-intern each one's class digest. [Skeleton.digest] is
-           equal on equal skeletons and collision-free across distinct
-           classes in every non-adversarial universe, so digest equality
-           across shards is class identity, and first-seen order
-           reproduces the unsharded table's dense ids (and its
-           tie-breaks). *)
-        let by_index = Hashtbl.create 64 in
-        Array.iter
-          (fun e ->
-            Array.iter
-              (fun (i, c) -> Hashtbl.replace by_index i e.classes.(c))
-              e.accepted.(best_t))
-          evs_arr;
-        let ids = Hashtbl.create 16 in
-        let info = ref [] in
-        let next = ref 0 in
-        let class_of = Array.make yes_samples (-1) in
-        for i = 0 to yes_samples - 1 do
-          match Hashtbl.find_opt by_index i with
+let attack_census ?pool ?seed ?(canon = true) st ~space ~machine
+    ?(yes_samples = 48) ?(choice_trials = 8) ?(resample_tries = 32) ?fuel () =
+  let root =
+    match seed with Some s -> s | None -> Parallel.Rng.seed_of_state st
+  in
+  let fuel = match fuel with Some f -> f | None -> default_fuel machine in
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
+  let phi = G.Checkphi.phi space in
+  let m = P.size phi in
+  let n = Problems.Intervals.n (G.Checkphi.intervals space) in
+  let insts = Array.init yes_samples (sample_at ~root space) in
+  let seeds = trial_seeds ~machine ~root ~yes_samples ~choice_trials in
+  let r = make_runner ~machine ~fuel ~canon in
+  (* Steps 1-2: sweep the samples under every candidate choice seed and
+     intern each accepted skeleton; [rows.(t).(i)] is [Some (class id,
+     representative)] iff sample [i] is accepted under [seeds.(t)]. *)
+  let tbl = Skeleton.Intern.create () in
+  let rows =
+    Array.map
+      (fun seed ->
+        Array.map
+          (function
+            | true, Some sk -> Some (Skeleton.Intern.intern tbl sk)
+            | _ -> None)
+          (sweep r pool ~seed insts))
+      seeds
+  in
+  let hits =
+    Array.map
+      (Array.fold_left (fun a c -> if Option.is_some c then a + 1 else a) 0)
+      rows
+  in
+  (* Lemma 26: the first candidate seed with strictly the most hits *)
+  let best = ref 0 in
+  Array.iteri (fun t h -> if h > hits.(!best) then best := t) hits;
+  let seed = seeds.(!best) and row = rows.(!best) and hits = hits.(!best) in
+  let yes_acceptance = float_of_int hits /. float_of_int yes_samples in
+  let outcome, classes =
+    if 2 * hits < yes_samples then (Contract_violated { yes_acceptance }, 0)
+    else begin
+      (* Step 5: the census under [seed]. ζ is the most popular class,
+         the first seen in sample order on ties. *)
+      let sizes = Hashtbl.create 16 and seen = ref [] in
+      Array.iter
+        (function
           | None -> ()
-          | Some c ->
-              let id =
-                match Hashtbl.find_opt ids c.digest with
-                | Some id -> id
-                | None ->
-                    let id = !next in
-                    Hashtbl.add ids c.digest id;
-                    incr next;
-                    info := c :: !info;
-                    id
-              in
-              class_of.(i) <- id
-        done;
-        let skeleton_classes = !next in
-        let class_info = Array.of_list (List.rev !info) in
-        let counts = Array.make (max skeleton_classes 1) 0 in
-        Array.iter
-          (fun id -> if id >= 0 then counts.(id) <- counts.(id) + 1)
-          class_of;
-        let best_id = ref 0 in
-        for id = 1 to skeleton_classes - 1 do
-          if counts.(id) > counts.(!best_id) then best_id := id
-        done;
-        let zeta = class_info.(!best_id) in
-        let best_id = !best_id in
-        match zeta.uncompared with
-        | [] ->
-            ( Not_fooled
-                {
-                  reason = "every pair (i, m+phi(i)) is compared in the skeleton";
-                  yes_acceptance;
-                  skeleton_classes;
-                },
-              skeleton_classes )
-        | i0 :: _ -> begin
-            (* Steps 4-5: find v, w in the class differing only in the
-               value at x-position i0 (hence also at y-position phi(i0)).
-               First look for a sampled pair, then actively resample the
-               i0 value. The instances are regenerated from the root
-               seed — evidence carries verdicts, not inputs. *)
-            let sample_arr = Array.init yes_samples (sample_at ~root space) in
-            let inv = G.Checkphi.inv_phi space in
-            let key_of inst =
-              let buf = Buffer.create (16 * m) in
-              let xs = I.xs inst in
-              Array.iteri
-                (fun idx x ->
-                  if idx <> i0 - 1 then begin
-                    Buffer.add_string buf (B.to_string x);
-                    Buffer.add_char buf '#'
-                  end)
-                xs;
-              Buffer.contents buf
-            in
-            let first_with = Hashtbl.create 16 in
-            let sampled_pair = ref None in
-            (try
-               Array.iteri
-                 (fun i id ->
-                   if id = best_id then begin
-                     let inst = sample_arr.(i) in
-                     let key = key_of inst in
-                     match Hashtbl.find_opt first_with key with
-                     | Some a when not (B.equal (I.x a i0) (I.x inst i0)) ->
-                         sampled_pair := Some (a, inst);
-                         raise Exit
-                     | Some _ -> ()
-                     | None -> Hashtbl.add first_with key inst
-                   end)
-                 class_of
-             with Exit -> ());
-            let witness =
-              let idx = ref (-1) in
-              Array.iteri
-                (fun i id -> if !idx < 0 && id = best_id then idx := i)
-                class_of;
-              sample_arr.(!idx)
-            in
-            let resampled_pair () =
-              (* perturb the witness at position i0 within its interval
-                 and keep variants whose run has skeleton ζ and accepts *)
-              let intervals = G.Checkphi.intervals space in
-              let rec try_ n =
-                if n > e0.resample_tries then None
-                else begin
-                  let rng =
-                    Parallel.Rng.state ~seed:root
-                      ~index:
-                        (resample_index ~yes_samples
-                           ~choice_trials:e0.choice_trials n)
-                  in
-                  let fresh =
-                    Problems.Intervals.random_element rng intervals
-                      (P.apply phi i0)
-                  in
-                  if B.equal fresh (I.x witness i0) then try_ (n + 1)
-                  else begin
-                    let xs = I.xs witness in
-                    xs.(i0 - 1) <- fresh;
-                    let ys = Array.init m (fun j0 -> xs.(P.apply inv (j0 + 1) - 1)) in
-                    let candidate = I.make xs ys in
-                    let acc, sk = run_memo r ~seed candidate in
-                    let same_class =
-                      match sk with
-                      | Some sk -> Int64.equal (Skeleton.digest sk) zeta.digest
-                      | None -> false
-                    in
-                    if acc && same_class then Some (witness, candidate)
-                    else try_ (n + 1)
-                  end
-                end
-              in
-              try_ 1
+          | Some (id, rep) -> (
+              match Hashtbl.find_opt sizes id with
+              | Some k -> Hashtbl.replace sizes id (k + 1)
+              | None ->
+                  Hashtbl.add sizes id 1;
+                  seen := (id, rep) :: !seen))
+        row;
+      let classes = Hashtbl.length sizes in
+      let zeta_id, zeta =
+        match List.rev !seen with
+        | [] -> assert false
+        | first :: rest ->
+            List.fold_left
+              (fun ((bid, _) as b) ((id, _) as c) ->
+                if Hashtbl.find sizes id > Hashtbl.find sizes bid then c else b)
+              first rest
+      in
+      let not_fooled reason =
+        Not_fooled { reason; yes_acceptance; skeleton_classes = classes }
+      in
+      let outcome =
+        match Skeleton.uncompared_phi_indices zeta ~m ~phi with
+        | [] -> not_fooled "every pair (i, m+phi(i)) is compared in the skeleton"
+        | i0 :: _ -> (
+            let members =
+              List.filter_map
+                (fun i ->
+                  match row.(i) with
+                  | Some (id, _) when id = zeta_id -> Some insts.(i)
+                  | _ -> None)
+                (List.init yes_samples Fun.id)
             in
             match
-              (match !sampled_pair with
-              | Some p -> Some p
-              | None -> resampled_pair ())
+              find_pair r ~space ~root ~seed ~yes_samples ~choice_trials
+                ~resample_tries ~zeta ~members i0
             with
             | None ->
-                ( Not_fooled
-                    {
-                      reason =
-                        Printf.sprintf
-                          "no same-skeleton pair differing only at i0=%d found"
-                          i0;
-                      yes_acceptance;
-                      skeleton_classes;
-                    },
-                  skeleton_classes )
-            | Some (v, w) -> begin
+                not_fooled
+                  (Printf.sprintf
+                     "no same-skeleton pair differing only at i0=%d found" i0)
+            | Some (v, w) ->
                 (* Step 6 (Lemma 34): cross the halves. *)
                 let u = I.make (I.xs v) (I.ys w) in
                 let acc, _ = run_memo r ~seed u in
                 if acc && not (G.Checkphi.is_yes space u) then
-                  ( Fooled
-                      {
-                        input = u;
-                        i0;
-                        skeleton_classes;
-                        yes_acceptance;
-                        choice_seed = seed;
-                      },
-                    skeleton_classes )
+                  Fooled
+                    {
+                      input = u;
+                      i0;
+                      skeleton_classes = classes;
+                      yes_acceptance;
+                      choice_seed = seed;
+                    }
                 else
-                  ( Not_fooled
-                      {
-                        reason =
-                          (if acc then "composed input unexpectedly a yes-instance"
-                           else "machine rejected the composed input");
-                        yes_acceptance;
-                        skeleton_classes;
-                      },
-                    skeleton_classes )
-              end
-          end
-      end
-    in
-    let canonical_hits =
-      List.fold_left (fun a e -> a + e.canonical_hits) r.r_canon_hits evs
-    in
-    let machine_runs =
-      List.fold_left (fun a e -> a + e.machine_runs) r.r_runs evs
-    in
-    {
-      outcome;
-      fingerprint =
-        fingerprint_of ~root ~m ~n:e0.n ~chosen_seed:seed ~hits
-          ~samples:yes_samples ~classes:skeleton_classes outcome;
-      chosen_seed = seed;
-      hits;
-      samples = yes_samples;
-      classes = skeleton_classes;
-      canonical_hits;
-      machine_runs;
-      shards_merged = k;
-    }
-end
-
-let attack_census ?pool ?seed ?(canon = true) ?(intern = Skeleton.Intern.Ram) st
-    ~space ~machine ?(yes_samples = 48) ?(choice_trials = 8)
-    ?(resample_tries = 32) ?fuel () =
-  let root =
-    match seed with Some s -> s | None -> Parallel.Rng.seed_of_state st
+                  not_fooled
+                    (if acc then "composed input unexpectedly a yes-instance"
+                     else "machine rejected the composed input"))
+      in
+      (outcome, classes)
+    end
   in
-  let ev =
-    Shard.collect ?pool ~canon ~intern ~root ~space ~machine ~yes_samples
-      ~choice_trials ~resample_tries ?fuel ~shard:1 ~of_:1 ()
-  in
-  Shard.merge ~space ~machine [ ev ]
+  {
+    outcome;
+    fingerprint =
+      fingerprint_of ~root ~m ~n ~chosen_seed:seed ~hits ~samples:yes_samples
+        ~classes outcome;
+    chosen_seed = seed;
+    hits;
+    samples = yes_samples;
+    classes;
+    canonical_hits = r.r_canon_hits;
+    machine_runs = r.r_runs;
+  }
 
-let attack ?pool ?seed ?canon ?intern st ~space ~machine ?yes_samples
-    ?choice_trials ?resample_tries ?fuel () =
-  (attack_census ?pool ?seed ?canon ?intern st ~space ~machine ?yes_samples
+let attack ?pool ?seed ?canon st ~space ~machine ?yes_samples ?choice_trials
+    ?resample_tries ?fuel () =
+  (attack_census ?pool ?seed ?canon st ~space ~machine ?yes_samples
      ?choice_trials ?resample_tries ?fuel ())
     .outcome
 
@@ -735,7 +420,6 @@ let verify_fooled ~space ~machine outcome =
   | Fooled f ->
       G.Checkphi.member space f.input
       && (not (G.Checkphi.is_yes space f.input))
-      && (run_with ~fuel:(max 200_000 (2 * machine.Nlm.state_count)) machine
-            ~seed:f.choice_seed f.input)
+      && (run_with ~fuel:(default_fuel machine) machine ~seed:f.choice_seed f.input)
            .Nlm.vaccepted
   | Not_fooled _ | Contract_violated _ -> false

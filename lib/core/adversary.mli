@@ -25,20 +25,12 @@
     with full coverage (e.g. the complete staircase verifier) it
     reports soundness evidence instead.
 
-    {2 Scaling levers}
+    {2 Canonical-form reduction}
 
-    Three independent levers push the census to m=64/128, all keeping
-    the verdict bit-identical to the naive pipeline:
-
-    - {e canonical-form reduction} ({!canonicalize}): machine runs are
-      memoized modulo the value-renaming symmetry the machines cannot
-      observe, so each equivalence class of inputs is run once;
-    - {e spill-able interning}: the census table can be backed by a
-      {!Listmachine.Skeleton.Intern.backend.Spill} device, bounding RAM
-      independent of the class count;
-    - {e process-level sharding} ({!Shard}): the sample space splits by
-      index residue into [k] shards whose evidence files fold back into
-      the exact single-process verdict, with a mergeable fingerprint. *)
+    Machine runs are memoized modulo the value-renaming symmetry the
+    machines cannot observe ({!canonicalize}), so each equivalence class
+    of inputs is run once; the census stays bit-identical to the naive
+    pipeline ([~canon:false]). *)
 
 type outcome =
   | Fooled of {
@@ -79,102 +71,20 @@ type census = {
   outcome : outcome;
   fingerprint : int64;
       (** FNV-1a 64 over a canonical rendering of the verdict + census
-          summary; bit-identical across worker counts, intern backends,
-          [~canon] on/off and shard partitionings *)
+          summary; bit-identical across worker counts and [~canon]
+          on/off *)
   chosen_seed : int;  (** the winning choice seed (Lemma 26) *)
   hits : int;  (** accepted yes-samples under [chosen_seed] *)
   samples : int;  (** total yes-samples drawn *)
   classes : int;  (** census size under [chosen_seed] *)
   canonical_hits : int;  (** machine runs saved by canonical memoization *)
   machine_runs : int;  (** machine runs actually executed *)
-  shards_merged : int;  (** 1 for a direct {!attack_census} *)
 }
-
-(** Sharded censusing: [collect] runs the sample sweeps for one residue
-    class of the sample indices and packages what the merge needs —
-    per-trial accept verdicts with interned class ids, plus one
-    structural digest per class ({!Listmachine.Skeleton.digest} is
-    equal on equal skeletons and O(skeleton), so digests are the
-    cross-process class identity). [merge] folds [k] such evidences
-    into the exact verdict the unsharded pipeline computes: it replays
-    the Lemma 26 seed selection and the census in global sample order,
-    regenerates the sample instances from the root seed, and performs
-    the resample/compose machine runs itself. *)
-module Shard : sig
-  type cls = {
-    digest : int64;  (** [Skeleton.digest] of the class representative *)
-    uncompared : int list;  (** its uncompared ϕ-indices (Claim 3) *)
-  }
-
-  type evidence = {
-    root : int;
-    m : int;
-    n : int;
-    machine_name : string;
-    yes_samples : int;
-    choice_trials : int;
-    resample_tries : int;
-    fuel : int;
-    canon : bool;
-    shard : int;  (** 1-based shard index *)
-    shards : int;  (** total shard count [k] *)
-    trial_seeds : int array;  (** the candidate choice seeds, in trial order *)
-    accepted : (int * int) array array;
-        (** per trial: [(sample index, class id)] for each accepted
-            owned sample, in sample-index order *)
-    classes : cls array;  (** indexed by the shard-local class id *)
-    canonical_hits : int;
-    machine_runs : int;
-  }
-
-  val to_string : evidence -> string
-  (** A printable, versioned, line-oriented rendering (class digests
-      as 16-digit hex); [of_string] inverts it exactly. *)
-
-  val of_string : string -> evidence
-  (** @raise Failure on malformed input. *)
-
-  val fingerprint : evidence -> int64
-  (** FNV-1a 64 of {!to_string} — the per-shard summary fingerprint. *)
-
-  val collect :
-    ?pool:Parallel.Pool.t ->
-    ?canon:bool ->
-    ?intern:Listmachine.Skeleton.Intern.backend ->
-    root:int ->
-    space:Problems.Generators.Checkphi.space ->
-    machine:Util.Bitstring.t Listmachine.Nlm.t ->
-    ?yes_samples:int ->
-    ?choice_trials:int ->
-    ?resample_tries:int ->
-    ?fuel:int ->
-    shard:int ->
-    of_:int ->
-    unit ->
-    evidence
-  (** Sweep the sample indices [i] with [i mod k = shard-1] (shards are
-      1-based, [of_] is [k]) under every candidate choice seed. Each
-      sample's draws are keyed on its global index, so sharding
-      repartitions work without re-randomizing anything.
-      @raise Invalid_argument unless [1 <= shard <= of_]. *)
-
-  val merge :
-    space:Problems.Generators.Checkphi.space ->
-    machine:Util.Bitstring.t Listmachine.Nlm.t ->
-    evidence list ->
-    census
-  (** Fold a complete shard set (any order) into the single-process
-      verdict. [space]/[machine] must be the ones the shards ran
-      against (checked against the evidence headers).
-      @raise Failure on an incomplete, duplicated or inconsistent set.
-      @raise Invalid_argument if [space]/[machine] mismatch the set. *)
-end
 
 val attack_census :
   ?pool:Parallel.Pool.t ->
   ?seed:int ->
   ?canon:bool ->
-  ?intern:Listmachine.Skeleton.Intern.backend ->
   Random.State.t ->
   space:Problems.Generators.Checkphi.space ->
   machine:Util.Bitstring.t Listmachine.Nlm.t ->
@@ -184,15 +94,16 @@ val attack_census :
   ?fuel:int ->
   unit ->
   census
-(** The full pipeline with its census summary:
-    [Shard.merge] of a single [Shard.collect ~shard:1 ~of_:1] — the
-    sharded and unsharded paths are literally the same code. *)
+(** The full pipeline with its census summary, in one process: the
+    samples are swept under every candidate choice seed, each accepted
+    skeleton is interned in one {!Listmachine.Skeleton.Intern} table,
+    and the seed selection, census and steps 4–6 run on that table with
+    the sweep's runner (so resample runs share its canonical memo). *)
 
 val attack :
   ?pool:Parallel.Pool.t ->
   ?seed:int ->
   ?canon:bool ->
-  ?intern:Listmachine.Skeleton.Intern.backend ->
   Random.State.t ->
   space:Problems.Generators.Checkphi.space ->
   machine:Util.Bitstring.t Listmachine.Nlm.t ->
@@ -211,7 +122,7 @@ val attack :
     resampling) comes from a splitmix64 stream keyed on a root seed and
     a fixed stream index, so the outcome is a function of the root seed
     alone. The root is [seed] when given; otherwise one [full_int] is
-    pulled from [st] — the only use of [st]. Machine replays (the merged
+    pulled from [st] — the only use of [st]. Machine replays (the
     Lemma 26 scoring / census sweep) are pure and fan out over [pool]
     (default {!Parallel.Pool.default}); results are folded in sample
     order, so the outcome is bit-identical for every worker count.
@@ -220,9 +131,8 @@ val attack :
     value-renaming symmetry — sound for machines that observe input
     values only through equality tests (every machine in this tree;
     skeleton cells store positions, not values). Pass [~canon:false]
-    for a machine that inspects value content. [intern] selects the
-    census table backend (default RAM-resident). Neither changes any
-    outcome bit.
+    for a machine that inspects value content; it changes no outcome
+    bit.
 
     [fuel] defaults to [max 200_000 (2 * state_count)] — a scripted
     machine visits one state per step, so the budget always covers the

@@ -1650,102 +1650,6 @@ let exp21 () =
     \  Theorem 11-13 budget.\n\
     \  (Scale with STLB_E21_ITERS; the committed numbers use the default.)"
 
-let exp22 () =
-  (* The sharded Lemma 21 census: [k] collectors each sweep one residue
-     class of the sample indices and emit mergeable evidence; the merge
-     folds them back into the exact single-process verdict. Every
-     (intern backend x shard count) cell must land on one census
-     fingerprint — the merged verdict is a function of the root seed
-     alone, never of how the samples were partitioned or where the
-     class table lived. *)
-  let root = 2022 in
-  let m = 16 in
-  let space = G.Checkphi.default_space ~m ~n:(2 * m) in
-  let machine = Listmachine.Machines.random_chain_checkphi ~space in
-  let spill =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stlb-e22-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir spill 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let t =
-    T.create
-      ~title:
-        (Printf.sprintf
-           "E22 [sharded census]  shard-count x intern-backend parity \
-            (random-chain machine, m = %d, root = %d)"
-           m root)
-      ~columns:
-        [
-          "intern"; "shards"; "classes"; "canon hits"; "machine runs";
-          "spill r/w"; "spill bytes"; "merged fingerprint";
-        ]
-  in
-  let fingerprints = ref [] in
-  let backends =
-    [
-      ("mem", fun () -> Listmachine.Skeleton.Intern.Ram);
-      ( "file",
-        fun () ->
-          Listmachine.Skeleton.Intern.Spill
-            {
-              spec = Tape.Device.file_spec ~block_bytes:4096 ~cache_blocks:4 spill;
-              recent = 8;
-            } );
-      ( "shard",
-        fun () ->
-          Listmachine.Skeleton.Intern.Spill
-            {
-              spec = Tape.Device.shard_spec ~shard_bytes:8192 ~cache_shards:2 spill;
-              recent = 8;
-            } );
-    ]
-  in
-  List.iter
-    (fun (bname, backend) ->
-      List.iter
-        (fun k ->
-          let before = Obs.Counters.snapshot () in
-          let evs =
-            List.init k (fun i ->
-                Stcore.Adversary.Shard.collect ~intern:(backend ()) ~root ~space
-                  ~machine ~shard:(i + 1) ~of_:k ())
-          in
-          let c = Stcore.Adversary.Shard.merge ~space ~machine evs in
-          let d = Obs.Counters.(diff (snapshot ()) ~since:before) in
-          fingerprints := c.Stcore.Adversary.fingerprint :: !fingerprints;
-          T.add_row t
-            [
-              bname;
-              string_of_int k;
-              string_of_int c.Stcore.Adversary.classes;
-              string_of_int c.Stcore.Adversary.canonical_hits;
-              string_of_int c.Stcore.Adversary.machine_runs;
-              Printf.sprintf "%d/%d" d.Obs.Counters.census_spill_reads
-                d.Obs.Counters.census_spill_writes;
-              string_of_int d.Obs.Counters.census_spill_bytes;
-              Printf.sprintf "0x%016Lx" c.Stcore.Adversary.fingerprint;
-            ])
-        [ 1; 2; 4 ])
-    backends;
-  T.print t;
-  (try Unix.rmdir spill with Unix.Unix_error _ -> ());
-  let total = List.length !fingerprints in
-  let distinct = List.sort_uniq Int64.compare !fingerprints in
-  Printf.printf "  parity: %d backend/shard rows -> %d/%d fingerprints %s\n"
-    total total total
-    (if List.length distinct = 1 then "IDENTICAL" else "MISMATCH");
-  print_endline
-    "  expected: one fingerprint down the whole table. Each sample's\n\
-    \  draws are keyed on its global index, so sharding repartitions\n\
-    \  work without re-randomizing; the merge replays the Lemma 26 seed\n\
-    \  selection and census in global sample order, so dense class ids,\n\
-    \  tie-breaks and the final verdict are bit-identical to the\n\
-    \  unsharded run. Spill rows pay device reads/writes (one slot per\n\
-    \  class plus probe traffic) for O(1) resident class state; mem rows\n\
-    \  show 0/0. Canonical-form reduction collapses each sweep to one\n\
-    \  machine run per (seed, rank pattern) orbit, so machine-run counts\n\
-    \  stay near the trial count while hit counts cover every sample."
-
 let all : (string * (unit -> unit)) list =
   [
     ("exp1", exp1);
@@ -1769,7 +1673,6 @@ let all : (string * (unit -> unit)) list =
     ("exp19", exp19);
     ("exp20", exp20);
     ("exp21", exp21);
-    ("exp22", exp22);
   ]
 
 let run_all ?checkpoint () =

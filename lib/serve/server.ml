@@ -176,6 +176,7 @@ type stats = {
   mutable yes : int;
   mutable no : int;
   mutable shed : int;  (* OVERLOADED responses (queue or batch bound) *)
+  mutable accept_errors : int;  (* accepts failed by EMFILE/ENFILE/ECONNABORTED *)
   mutable malformed : int;  (* broken frames answered with an error *)
   mutable audit_failures : int;
   mutable budget_errors : int;
@@ -198,6 +199,7 @@ let zero_stats () =
     yes = 0;
     no = 0;
     shed = 0;
+    accept_errors = 0;
     malformed = 0;
     audit_failures = 0;
     budget_errors = 0;
@@ -254,6 +256,7 @@ let stats_json st ~since =
       ("yes", `Int st.yes);
       ("no", `Int st.no);
       ("shed", `Int st.shed);
+      ("accept_errors", `Int st.accept_errors);
       ("malformed", `Int st.malformed);
       ("audit_failures", `Int st.audit_failures);
       ("budget_errors", `Int st.budget_errors);
@@ -332,9 +335,23 @@ let run ?(on_ready = fun () -> ()) cfg =
   let conns : conn list ref = ref [] in
   let queue : pending Queue.t = Queue.create () in
   let stopping = ref false in
+  (* false while the descriptor table is full: the listen fd stays out
+     of the select set (else it polls readable forever) until a
+     connection closes or the loop goes idle *)
+  let accepting = ref true in
   let close_conn c =
     conns := List.filter (fun c' -> c'.fd != c.fd) !conns;
+    accepting := true;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
+  in
+  let accept () =
+    match Unix.accept listen_fd with
+    | cfd, _ -> conns := { fd = cfd; inbuf = "" } :: !conns
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        st.accept_errors <- st.accept_errors + 1;
+        accepting := false
+    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) ->
+        st.accept_errors <- st.accept_errors + 1
   in
   let frame_seen () =
     st.frames <- st.frames + 1;
@@ -522,15 +539,14 @@ let run ?(on_ready = fun () -> ()) cfg =
   let rec loop () =
     if !stopping && Queue.is_empty queue then ()
     else begin
-      let fds = listen_fd :: List.map (fun c -> c.fd) !conns in
+      let fds = List.map (fun c -> c.fd) !conns in
+      let fds = if !accepting then listen_fd :: fds else fds in
       (match Unix.select fds [] [] 0.5 with
+      | [], _, _ -> accepting := true
       | readable, _, _ ->
           List.iter
             (fun fd ->
-              if fd == listen_fd then begin
-                let cfd, _ = Unix.accept listen_fd in
-                conns := { fd = cfd; inbuf = "" } :: !conns
-              end
+              if fd == listen_fd then accept ()
               else
                 match List.find_opt (fun c -> c.fd == fd) !conns with
                 | Some c -> read_some c

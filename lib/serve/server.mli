@@ -21,10 +21,13 @@
     queue is full the server {e sheds} the frame with an [OVERLOADED]
     error response instead of stalling the read loop, and oversized or
     malformed frames are answered with loud errors (the connection is
-    closed only when framing itself is unrecoverable). Every response
-    to a decide runs under its theorem-budget audit ({!Obs.Audit}); a
-    run that exceeds its budget is reported as an [AUDIT_FAILED] error,
-    never as a silent verdict. *)
+    closed only when framing itself is unrecoverable). When [accept]
+    fails because the descriptor table is full, the failure is counted
+    in STATS ([accept_errors]) and the listen socket is left unpolled
+    until a connection closes; the server never exits over it. Every
+    response to a decide runs under its theorem-budget audit
+    ({!Obs.Audit}); a run that exceeds its budget is reported as an
+    [AUDIT_FAILED] error, never as a silent verdict. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path (stale paths are taken over) *)

@@ -532,52 +532,6 @@ let prop_intern_matches_structural_equality =
           List.for_all (fun (idb, b) -> (ida = idb) = Skeleton.equal a b) ids)
         ids)
 
-let prop_intern_spill_matches_ram =
-  QCheck.Test.make
-    ~name:"spill-backed intern ids match the RAM table on the same stream"
-    ~count:20
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let st = Random.State.make [| seed + 91 |] in
-      (* the same interleaved stream of repeats and fresh classes, fed
-         to both tiers; a 2-deep front forces the spill table through
-         its bloom/slot-probe path on most lookups *)
-      let sks =
-        List.concat_map
-          (fun k ->
-            let m, machine = random_plan (seed + k) ~with_check:false in
-            List.init 3 (fun _ ->
-                let values = values_for st m in
-                Skeleton.of_views (Nlm.run_view machine ~values ~choices:(fun _ -> 0))))
-          [ 0; 1; 2; 0; 1 ]
-      in
-      let ram = Skeleton.Intern.create () in
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "stlb-intern-prop-%d-%d" (Unix.getpid ()) seed)
-      in
-      let spill =
-        Skeleton.Intern.create
-          ~backend:
-            (Skeleton.Intern.Spill
-               {
-                 spec = Tape.Device.file_spec ~block_bytes:4096 ~cache_blocks:4 dir;
-                 recent = 2;
-               })
-          ()
-      in
-      let ids_agree =
-        List.for_all
-          (fun sk ->
-            fst (Skeleton.Intern.intern ram sk)
-            = fst (Skeleton.Intern.intern spill sk))
-          sks
-      in
-      let counts_agree = Skeleton.Intern.count ram = Skeleton.Intern.count spill in
-      Skeleton.Intern.close spill;
-      ids_agree && counts_agree)
-
 let prop_random_plans_composition_never_violated =
   QCheck.Test.make
     ~name:"composition lemma never violated on random honest machines" ~count:40
@@ -724,7 +678,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_plans_skeleton_oblivious;
           QCheck_alcotest.to_alcotest prop_view_run_matches_run;
           QCheck_alcotest.to_alcotest prop_plan_pilot_matches_replay;
-          QCheck_alcotest.to_alcotest prop_intern_spill_matches_ram;
           QCheck_alcotest.to_alcotest prop_intern_matches_structural_equality;
           QCheck_alcotest.to_alcotest prop_random_plans_composition_never_violated;
         ] );

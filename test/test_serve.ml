@@ -543,6 +543,75 @@ let test_stats_and_health () =
   Serve.Client.close c
 
 (* ------------------------------------------------------------------ *)
+(* descriptor exhaustion *)
+
+(* A real [stlb serve] under [ulimit -n 32] gets 45 idle connections,
+   more than its descriptor table holds, so [accept] fails with EMFILE.
+   The server must count the failures in STATS, stay up, answer a
+   workload once the idle connections close, and exit 0 on SHUTDOWN.
+   The limit is set by the shell that execs the server: the Unix
+   library has no setrlimit. *)
+let test_fd_exhaustion_keeps_serving () =
+  let socket = fresh_socket () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process "/bin/sh"
+      [|
+        "/bin/sh"; "-c"; "ulimit -n 32 && exec \"$0\" serve --socket \"$1\"";
+        Filename.concat (Filename.concat Filename.parent_dir_name "bin") "stlb.exe";
+        socket;
+      |]
+      null null null
+  in
+  Unix.close null;
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then
+        try
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid)
+        with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let c = Serve.Client.connect socket in
+  check "first connection served" true (Serve.Client.ping c ~id:1);
+  (* non-blocking connects: once the server stops accepting, the listen
+     backlog fills and a connect fails with EAGAIN instead of blocking *)
+  let rec open_idle tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.set_nonblock fd;
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () -> Some fd
+    | exception Unix.Unix_error _ ->
+        Unix.close fd;
+        if tries = 0 then None
+        else begin
+          Unix.sleepf 0.01;
+          open_idle (tries - 1)
+        end
+  in
+  let idle = List.filter_map (fun _ -> open_idle 20) (List.init 45 Fun.id) in
+  let rec accept_errors tries =
+    let s = Serve.Client.stats c ~id:2 in
+    if contains ~needle:"\"accept_errors\":0," s && tries > 0 then begin
+      Unix.sleepf 0.02;
+      accept_errors (tries - 1)
+    end
+    else s
+  in
+  let s = accept_errors 100 in
+  check "accept failures counted" false
+    (contains ~needle:"\"accept_errors\":0," s);
+  List.iter Unix.close idle;
+  let calm = with_server ~seed:42 collect in
+  check "verdicts after exhaustion match a calm server" true (collect socket = calm);
+  Serve.Client.shutdown c ~id:3;
+  Serve.Client.close c;
+  let _, status = Unix.waitpid [] pid in
+  reaped := true;
+  check "server exits 0 after SHUTDOWN" true (status = Unix.WEXITED 0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "serve"
@@ -576,6 +645,8 @@ let () =
             test_oversized_batch_rejected;
           Alcotest.test_case "oversized frame closes connection" `Quick
             test_oversized_frame_closes_connection;
+          Alcotest.test_case "descriptor exhaustion keeps serving" `Quick
+            test_fd_exhaustion_keeps_serving;
         ] );
       ( "fuzz",
         [

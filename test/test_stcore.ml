@@ -108,7 +108,7 @@ let test_attack_worker_parity () =
     (String.length reference > 7 && String.sub reference 0 7 = "fooled:")
 
 (* ------------------------------------------------------------------ *)
-(* Census scaling levers: canonical-form reduction and sharding *)
+(* Census scaling lever: canonical-form reduction *)
 
 let prop_canonicalize_idempotent =
   QCheck.Test.make ~name:"canonicalization is idempotent and key-preserving"
@@ -141,33 +141,32 @@ let prop_canon_preserves_outcome =
       (* the lever saved work without changing a bit of the verdict *)
       && on.Adv.machine_runs < off.Adv.machine_runs)
 
-let prop_shard_merge_matches_direct =
-  QCheck.Test.make
-    ~name:"shard merge equals the unsharded census for any (seed, k)" ~count:6
-    QCheck.(pair (int_bound 10000) (int_range 1 5))
-    (fun (root, k) ->
-      let machine = Machines.staircase_checkphi ~space ~chains:2 ~optimistic:true in
-      let direct =
-        Adv.attack_census ~seed:root (Random.State.make [| 1 |]) ~space ~machine ()
-      in
-      let evs =
-        List.init k (fun i ->
-            Adv.Shard.collect ~root ~space ~machine ~shard:(i + 1) ~of_:k ())
-      in
-      let merged = Adv.Shard.merge ~space ~machine evs in
-      Int64.equal direct.Adv.fingerprint merged.Adv.fingerprint
-      && outcome_fingerprint direct.Adv.outcome
-         = outcome_fingerprint merged.Adv.outcome)
-
-let prop_evidence_roundtrip =
-  QCheck.Test.make ~name:"shard evidence survives to_string/of_string" ~count:10
-    QCheck.(int_bound 10000)
-    (fun root ->
-      let machine = Machines.random_chain_checkphi ~space in
-      let ev = Adv.Shard.collect ~root ~space ~machine ~shard:1 ~of_:2 () in
-      let ev' = Adv.Shard.of_string (Adv.Shard.to_string ev) in
-      ev' = ev
-      && Int64.equal (Adv.Shard.fingerprint ev') (Adv.Shard.fingerprint ev))
+(* Census fingerprints that no rework of the pipeline may move, with
+   canonical memoization on and off: the staircase (one choice
+   sequence) and the random-chain machine, whose 8 candidate choice
+   seeds exercise the Lemma 26 seed selection. *)
+let test_census_fingerprints_pinned () =
+  let census ~m ~root machine_of =
+    let space = G.Checkphi.default_space ~m ~n:(2 * m) in
+    let machine = machine_of space in
+    let c = Adv.attack_census ~seed:root (Random.State.make [| 1 |]) ~space ~machine () in
+    (c, Adv.attack_census ~seed:root ~canon:false (Random.State.make [| 1 |]) ~space ~machine ())
+  in
+  let check_fp name expected (c, off) =
+    Alcotest.(check string) name (Printf.sprintf "0x%016Lx" expected)
+      (Printf.sprintf "0x%016Lx" c.Adv.fingerprint);
+    Alcotest.(check string) (name ^ ", canon off") (Printf.sprintf "0x%016Lx" expected)
+      (Printf.sprintf "0x%016Lx" off.Adv.fingerprint);
+    check_int (name ^ ": one class") 1 c.Adv.classes
+  in
+  check_fp "staircase m=8 seed 42" 0xe95ee6596467b13cL
+    (census ~m:8 ~root:(Parallel.Rng.seed_of_state (Random.State.make [| 42 |]))
+       (fun space ->
+         Machines.staircase_checkphi ~space
+           ~chains:(Machines.chains_needed ~space - 1)
+           ~optimistic:true));
+  check_fp "random-chain m=16 root 2022" 0xe142c0f9639753eeL
+    (census ~m:16 ~root:2022 (fun space -> Machines.random_chain_checkphi ~space))
 
 let test_verify_fooled_rejects_others () =
   let machine = Machines.blind ~input_length:16 ~accept:true in
@@ -408,8 +407,8 @@ let () =
             test_attack_worker_parity;
           QCheck_alcotest.to_alcotest prop_canonicalize_idempotent;
           QCheck_alcotest.to_alcotest prop_canon_preserves_outcome;
-          QCheck_alcotest.to_alcotest prop_shard_merge_matches_direct;
-          QCheck_alcotest.to_alcotest prop_evidence_roundtrip;
+          Alcotest.test_case "census fingerprints pinned" `Quick
+            test_census_fingerprints_pinned;
         ] );
       ( "composition",
         [
