@@ -106,6 +106,12 @@ let micro_tests () =
       ~blank:'_' ~name:"crc-bench"
   in
   let crc_slots = (1 lsl 16) / 4 in
+  (* the two layers above the syscall seam, alone: the frame CRC over
+     one perfbench-sized block, and one sort cell (a 24-bit string)
+     through the string codec's encode and decode *)
+  let crc_block = String.init (1 lsl 14) (fun i -> Char.chr ((i * 131) land 0xff)) in
+  let cell_codec = Tape.Device.Codec.tuple_string ~max_len:24 in
+  let cell = String.init 24 (fun i -> if i * 7 mod 3 = 0 then '1' else '0') in
   (* the query front-end: a join-shaped comprehension over two 24-row
      binary relations, measured at each stage - parse alone, the full
      compile + tape execution + per-node audit, the naive in-memory
@@ -136,6 +142,12 @@ let micro_tests () =
            ignore (Tape.Device.get crc_dev crc_slots);
            Tape.Device.set crc_dev crc_slots 'y';
            ignore (Tape.Device.get crc_dev 0)));
+    Test.make ~name:"device-crc32-16k"
+      (Staged.stage (fun () -> ignore (Tape.Device.crc32 crc_block)));
+    Test.make ~name:"tuple-string-codec-24"
+      (Staged.stage (fun () ->
+           let open Tape.Device.Codec in
+           ignore (cell_codec.decode (cell_codec.encode cell) 0)));
     Test.make ~name:"tape-merge-sort-256"
       (Staged.stage (fun () -> ignore (Extsort.sort sort_items)));
     Test.make ~name:"tape-file-merge-sort-64k"

@@ -37,24 +37,56 @@ let zero_stats =
   { resident_bytes = 0; io_read_bytes = 0; io_write_bytes = 0; backing_files = 0 }
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the same
-   checksum the checkpoint journal uses, computed table-driven here so
-   the tape library stays dependency-free. *)
+(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum
+   of the frames here and of the checkpoint journal, computed
+   slicing-by-8: table [k] (entries [256k .. 256k+255]) advances a byte
+   through k further zero bytes, so one step folds 8 input bytes with 8
+   lookups.  Table 0 is the classic bytewise table, which also finishes
+   the < 8-byte tail. *)
 
-let crc_table =
+(* built on first use: a program that never touches a byte device
+   allocates nothing here at start-up *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let p = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (p lsr 8) lxor t.(p land 0xff)
+       done
+     done;
+     t)
 
 let crc32_sub buf pos len =
-  let t = Lazy.force crc_table in
+  let t = Lazy.force crc_tables in
   let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := t.((!c lxor Char.code (Bytes.get buf i)) land 0xff) lxor (!c lsr 8)
+  let i = ref pos in
+  let stop = pos + len in
+  while !i + 8 <= stop do
+    (* the low word absorbs the running CRC; the high word is data *)
+    let lo = !c lxor Int32.to_int (Bytes.get_int32_le buf !i) in
+    let hi = Int32.to_int (Bytes.get_int32_le buf (!i + 4)) in
+    c :=
+      Array.unsafe_get t (0x700 + (lo land 0xff))
+      lxor Array.unsafe_get t (0x600 + ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t (0x500 + ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t (0x400 + ((lo lsr 24) land 0xff))
+      lxor Array.unsafe_get t (0x300 + (hi land 0xff))
+      lxor Array.unsafe_get t (0x200 + ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get t (0x100 + ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get t ((hi lsr 24) land 0xff);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c := t.((!c lxor Char.code (Bytes.get buf !i)) land 0xff) lxor (!c lsr 8);
+    incr i
   done;
   !c lxor 0xFFFFFFFF
 
@@ -160,8 +192,7 @@ let full_pread (raw : Raw.t) fd buf ~off =
   in
   go 0
 
-let full_pwrite (raw : Raw.t) fd buf ~off =
-  let len = Bytes.length buf in
+let full_pwrite (raw : Raw.t) fd buf ~len ~off =
   let rec go done_ =
     if done_ < len then
       go (done_ + raw.pwrite fd buf ~pos:done_ ~len:(len - done_) ~off:(off + done_))
@@ -172,11 +203,11 @@ let full_pwrite (raw : Raw.t) fd buf ~off =
    sibling and renamed into place, so a crash at any raw-op boundary
    leaves either the old file, the new file, or a detectable ".tmp"
    torn tail — never a silently half-new file under the final name. *)
-let write_file_atomic (raw : Raw.t) path content ~fsync =
+let write_file_atomic (raw : Raw.t) path buf ~len ~fsync =
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   (try
-     full_pwrite raw fd (Bytes.unsafe_of_string content) ~off:0;
+     full_pwrite raw fd buf ~len ~off:0;
      if fsync then raw.Raw.fsync fd;
      Unix.close fd
    with e ->
@@ -226,35 +257,22 @@ module Codec = struct
 
   let tuple_string ~max_len =
     {
-      encode = (fun s -> Tuple.pack_str s);
-      decode =
-        (fun buf pos ->
-          match Tuple.decode_elt buf pos with
-          | Tuple.Str s, stop -> (s, stop)
-          | Tuple.Int _, _ -> raise (Tuple.Malformed "expected Str cell"));
+      encode = Tuple.pack_str;
+      decode = Tuple.decode_str;
       (* worst case: every byte escaped, plus code + terminator *)
       max_bytes = (2 * max_len) + 2;
     }
 
-  let tuple_int =
-    {
-      encode = (fun n -> Tuple.pack_int n);
-      decode =
-        (fun buf pos ->
-          match Tuple.decode_elt buf pos with
-          | Tuple.Int n, stop -> (n, stop)
-          | Tuple.Str _, _ -> raise (Tuple.Malformed "expected Int cell"));
-      max_bytes = 9;
-    }
+  let tuple_int = { encode = Tuple.pack_int; decode = Tuple.decode_int; max_bytes = 9 }
 
+  (* a char is the int of its code *)
   let tuple_char =
     {
       encode = (fun c -> Tuple.pack_int (Char.code c));
       decode =
         (fun buf pos ->
-          match Tuple.decode_elt buf pos with
-          | Tuple.Int n, stop -> (Char.chr (n land 0xff), stop)
-          | Tuple.Str _, _ -> raise (Tuple.Malformed "expected char cell"));
+          let n, stop = Tuple.decode_int buf pos in
+          (Char.unsafe_chr (n land 0xff), stop));
       max_bytes = 2;
     }
 end
@@ -353,14 +371,37 @@ let file_header_bytes = 16
 (* frame = presence byte (0x00 blank / 0x01 written) + CRC-32 of the
    payload (big-endian) + payload *)
 let frame_overhead = 5
+
+(* The frame at [off] is intact when it is written with a matching CRC,
+   or never written: a non-zero CRC field under a zero presence byte
+   is a torn or rotted frame. *)
+let frame_intact buf off bbytes =
+  match Bytes.get buf off with
+  | '\x00' -> Bytes.get_int32_be buf (off + 1) = 0l
+  | '\x01' ->
+      Bytes.get_int32_be buf (off + 1)
+      = Int32.of_int (crc32_sub buf (off + frame_overhead) bbytes)
+  | _ -> false
+
 let shard_magic = "STLBSHD2"
 let shard_header_bytes = 12
+
+(* A shard file is intact when it carries the magic and its payload
+   matches the CRC after it. *)
+let shard_intact data len =
+  len >= shard_header_bytes
+  && Bytes.get_int64_le data 0 = String.get_int64_le shard_magic 0
+  && Bytes.get_int32_be data 8
+     = Int32.of_int (crc32_sub data shard_header_bytes (len - shard_header_bytes))
+
 let manifest_name = "MANIFEST"
 let manifest_magic = "STLBMAN2"
 
 (* ------------------------------------------------------------------ *)
 (* File: CRC-framed fixed-size slots, direct-mapped cache, read-ahead. *)
 
+(* A cache line holds its block's whole on-disk frame, so loads and
+   flushes pread/pwrite it in place; slots start at [frame_overhead]. *)
 type block = {
   mutable blk : int; (* block index, -1 = empty *)
   mutable dirty : bool;
@@ -377,6 +418,11 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
   (* slot = 2-byte big-endian payload length + payload; length 0 means
      never written, so a fresh (sparse) region reads as blank *)
   let slot_bytes = codec.Codec.max_bytes + 2 in
+  (* a slot's element is decoded in place, so the byte after a full
+     slot (the next length's high byte) must not pass for a string
+     escape's 0xFF *)
+  if codec.Codec.max_bytes >= 0xFF00 then
+    invalid_arg "Device.file: codec max_bytes exceeds the 2-byte slot length";
   let slots_per_block = max 1 (block_bytes / slot_bytes) in
   let bbytes = slots_per_block * slot_bytes in
   let fbytes = frame_overhead + bbytes in
@@ -388,15 +434,14 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
   Bytes.set_int32_be hdr 12 (Int32.of_int slot_bytes);
   (* if the header write itself fails (ENOSPC on a just-created file),
      the constructor must not leak the empty file it O_CREAT'd *)
-  (try full_pwrite raw fd hdr ~off:0
+  (try full_pwrite raw fd hdr ~len:file_header_bytes ~off:0
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      (try raw.Raw.remove path with _ -> ());
      raise e);
-  let frame = Bytes.create fbytes in
   let cache =
     Array.init (max 1 cache_blocks) (fun _ ->
-        { blk = -1; dirty = false; buf = Bytes.create bbytes })
+        { blk = -1; dirty = false; buf = Bytes.create fbytes })
   in
   let nlines = Array.length cache in
   let hi = ref 0 in
@@ -408,10 +453,10 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
   let block_off b = file_header_bytes + (b * fbytes) in
   let flush line =
     if line.dirty then begin
-      Bytes.set frame 0 '\x01';
-      Bytes.set_int32_be frame 1 (Int32.of_int (crc32_sub line.buf 0 bbytes));
-      Bytes.blit line.buf 0 frame frame_overhead bbytes;
-      full_pwrite raw fd frame ~off:(block_off line.blk);
+      Bytes.set line.buf 0 '\x01';
+      Bytes.set_int32_be line.buf 1
+        (Int32.of_int (crc32_sub line.buf frame_overhead bbytes));
+      full_pwrite raw fd line.buf ~len:fbytes ~off:(block_off line.blk);
       io_w := !io_w + bbytes;
       line.dirty <- false
     end
@@ -422,21 +467,14 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
     raise_corrupt ~device:name ~path ~offset:(b * slots_per_block)
   in
   let load line b =
-    full_pread raw fd frame ~off:(block_off b);
+    (* the read lands in the line itself: if it fails part-way, the line
+       must not still claim its old block *)
+    line.blk <- -1;
+    full_pread raw fd line.buf ~off:(block_off b);
     io_r := !io_r + bbytes;
-    (match Bytes.get frame 0 with
-    | '\x00' ->
-        (* never-written (sparse) region: the whole frame must be
-           blank — a non-zero CRC field under a zero presence byte is
-           a torn or rotted frame *)
-        if Bytes.get_int32_be frame 1 <> 0l then bad line b;
-        Bytes.fill line.buf 0 bbytes '\x00'
-    | '\x01' ->
-        let stored = Bytes.get_int32_be frame 1 in
-        let actual = Int32.of_int (crc32_sub frame frame_overhead bbytes) in
-        if stored <> actual then bad line b;
-        Bytes.blit frame frame_overhead line.buf 0 bbytes
-    | _ -> bad line b);
+    if not (frame_intact line.buf 0 bbytes) then bad line b;
+    (* a never-written (sparse) region reads as blank slots *)
+    if Bytes.get line.buf 0 = '\x00' then Bytes.fill line.buf frame_overhead bbytes '\x00';
     if !quarantined = b then begin
       quarantined := -1;
       Atomic.incr reread_counter;
@@ -467,7 +505,7 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
     else last_loaded := b;
     line
   in
-  let slot_off i = i mod slots_per_block * slot_bytes in
+  let slot_off i = frame_overhead + (i mod slots_per_block * slot_bytes) in
   {
     dev_kind = "file";
     dev_get =
@@ -478,8 +516,15 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
                   lor Char.code (Bytes.get line.buf (off + 1)) in
         if len = 0 then blank
         else
-          let s = Bytes.sub_string line.buf (off + 2) len in
-          fst (codec.Codec.decode s 0));
+          (* decoded in place: [line.buf] is not written while the
+             decoder reads it, and the value it returns is a copy *)
+          let v, stop =
+            codec.Codec.decode (Bytes.unsafe_to_string line.buf) (off + 2)
+          in
+          if stop <> off + 2 + len then
+            raise
+              (Tuple.Malformed "Device.file: slot length disagrees with its element");
+          v);
     dev_set =
       (fun i v ->
         let line = line_for (i / slots_per_block) in
@@ -523,15 +568,8 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
         for b = nblocks - 1 downto 0 do
           full_pread raw fd scratch ~off:(block_off b);
           io_r := !io_r + bbytes;
-          let ok =
-            match Bytes.get scratch 0 with
-            | '\x00' -> Bytes.get_int32_be scratch 1 = 0l
-            | '\x01' ->
-                Bytes.get_int32_be scratch 1
-                = Int32.of_int (crc32_sub scratch frame_overhead bbytes)
-            | _ -> false
-          in
-          if not ok then corrupt_at := (b * slots_per_block) :: !corrupt_at
+          if not (frame_intact scratch 0 bbytes) then
+            corrupt_at := (b * slots_per_block) :: !corrupt_at
         done;
         { blocks_checked = nblocks; corrupt_at = !corrupt_at });
   }
@@ -606,38 +644,48 @@ let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
     |> List.sort compare
     |> List.iter (fun (f, (crc, len)) ->
            Buffer.add_string b (Printf.sprintf "%08x %d %s\n" crc len f));
-    write_file_atomic raw manifest_path (Buffer.contents b) ~fsync
+    let m = Buffer.to_bytes b in
+    write_file_atomic raw manifest_path m ~len:(Bytes.length m) ~fsync
+  in
+  (* every flush frames its shard in this one buffer, sized for the
+     worst-case cells and allocated on the first flush *)
+  let out =
+    lazy (Bytes.create (shard_header_bytes + (cells * (codec.Codec.max_bytes + 1))))
   in
   let flush line =
     if line.sh_dirty then begin
-      let buf = Buffer.create (cells * 2) in
+      let out = Lazy.force out in
+      Bytes.blit_string shard_magic 0 out 0 8;
+      let pos = ref shard_header_bytes in
       for i = 0 to cells - 1 do
-        if Bytes.get line.present i = '\x00' then Buffer.add_char buf '\x00'
-        else begin
-          Buffer.add_char buf '\x01';
-          Buffer.add_string buf (codec.Codec.encode line.vals.(i))
+        let flag = Bytes.get line.present i in
+        Bytes.set out !pos flag;
+        incr pos;
+        if flag <> '\x00' then begin
+          let enc = codec.Codec.encode line.vals.(i) in
+          let len = String.length enc in
+          if len > codec.Codec.max_bytes then
+            invalid_arg "Device.shard: encoded cell exceeds codec max_bytes";
+          Bytes.blit_string enc 0 out !pos len;
+          pos := !pos + len
         end
       done;
-      let payload = Buffer.contents buf in
-      let crc = crc32 payload in
-      let framed = Buffer.create (String.length payload + shard_header_bytes) in
-      Buffer.add_string framed shard_magic;
-      let crcb = Bytes.create 4 in
-      Bytes.set_int32_be crcb 0 (Int32.of_int crc);
-      Buffer.add_bytes framed crcb;
-      Buffer.add_string framed payload;
+      let plen = !pos - shard_header_bytes in
+      let crc = crc32_sub out shard_header_bytes plen in
+      Bytes.set_int32_be out 8 (Int32.of_int crc);
       let f = fname line.sh in
       if not (Hashtbl.mem manifest f) then incr nfiles;
-      write_file_atomic raw (path line.sh) (Buffer.contents framed) ~fsync:false;
-      Hashtbl.replace manifest f (crc, String.length payload);
+      write_file_atomic raw (path line.sh) out ~len:!pos ~fsync:false;
+      Hashtbl.replace manifest f (crc, plen);
       write_manifest ~fsync:false;
-      io_w := !io_w + String.length payload;
+      io_w := !io_w + plen;
       line.sh_dirty <- false
     end
   in
-  (* read + CRC-check one shard file; [None] when absent, payload when
-     intact, [Corrupt] (with the shard's first cell position) when the
-     frame fails any check *)
+  (* read + CRC-check one shard file; [None] when absent, the whole
+     file (payload after [shard_header_bytes]) when intact, [Corrupt]
+     (with the shard's first cell position) when the frame fails any
+     check *)
   let read_shard s =
     let p = path s in
     if not (Sys.file_exists p) then None
@@ -650,17 +698,12 @@ let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
          (try Unix.close fd with Unix.Unix_error _ -> ());
          raise e);
       Unix.close fd;
-      let intact =
-        size >= shard_header_bytes
-        && Bytes.sub_string data 0 8 = shard_magic
-        && Bytes.get_int32_be data 8
-           = Int32.of_int (crc32_sub data shard_header_bytes (size - shard_header_bytes))
-      in
-      if not intact then begin
+      if not (shard_intact data size) then begin
         quarantined := s;
         raise_corrupt ~device:name ~path:p ~offset:(s * cells)
       end;
-      Some (Bytes.sub_string data shard_header_bytes (size - shard_header_bytes))
+      (* never written again: the cells decode from it in place *)
+      Some (Bytes.unsafe_to_string data)
     end
   in
   let load line s =
@@ -670,8 +713,8 @@ let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
     (match read_shard s with
     | None -> ()
     | Some data ->
-        io_r := !io_r + String.length data;
-        let pos = ref 0 in
+        io_r := !io_r + String.length data - shard_header_bytes;
+        let pos = ref shard_header_bytes in
         let i = ref 0 in
         while !pos < String.length data && !i < cells do
           (match data.[!pos] with
@@ -750,7 +793,7 @@ let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
           if Sys.file_exists (path s) then begin
             incr checked;
             match read_shard s with
-            | Some payload -> io_r := !io_r + String.length payload
+            | Some data -> io_r := !io_r + String.length data - shard_header_bytes
             | None -> ()
             | exception Corrupt _ ->
                 quarantined := -1;
@@ -819,15 +862,7 @@ module Scrub = struct
           end
           else begin
             incr blocks;
-            let ok =
-              match data.[!off] with
-              | '\x00' -> Bytes.get_int32_be b (!off + 1) = 0l
-              | '\x01' ->
-                  Bytes.get_int32_be b (!off + 1)
-                  = Int32.of_int (crc32_sub b (!off + frame_overhead) bbytes)
-              | _ -> false
-            in
-            if not ok then
+            if not (frame_intact b !off bbytes) then
               findings := finding ~path ~offset:!off "crc-mismatch" :: !findings;
             off := !off + fbytes
           end
@@ -837,15 +872,7 @@ module Scrub = struct
     end
 
   let check_shard_payload path data =
-    let len = String.length data in
-    if
-      len >= shard_header_bytes
-      && String.sub data 0 8 = shard_magic
-      && Bytes.get_int32_be (Bytes.unsafe_of_string data) 8
-         = Int32.of_int
-             (crc32_sub (Bytes.unsafe_of_string data) shard_header_bytes
-                (len - shard_header_bytes))
-    then None
+    if shard_intact (Bytes.unsafe_of_string data) (String.length data) then None
     else Some (finding ~path ~offset:0 "crc-mismatch")
 
   let parse_manifest data =

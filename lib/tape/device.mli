@@ -59,8 +59,12 @@ val reset_health : unit -> unit
 (** Zero the three health counters (tests only). *)
 
 val crc32 : string -> int
-(** The frame checksum (IEEE CRC-32, reflected 0xEDB88320), exposed for
-    tests and tooling. *)
+(** The frame checksum (IEEE CRC-32, reflected 0xEDB88320), also the
+    checkpoint journal's; exposed for tests and tooling. *)
+
+val crc32_sub : Bytes.t -> int -> int -> int
+(** [crc32_sub buf pos len] is {!crc32} of [len] bytes of [buf] from
+    [pos], computed slicing-by-8 (8 bytes per step, bytewise tail). *)
 
 (** {2 The raw syscall seam} *)
 
@@ -95,6 +99,10 @@ val kind : 'a t -> string
 (** ["mem"], ["file"] or ["shard"]. *)
 
 val get : 'a t -> int -> 'a
+(** @raise Corrupt when the cell's block or shard fails its checksum
+    @raise Tuple.Malformed when a file slot's stored length disagrees
+    with the extent of the element decoded in place from it *)
+
 val set : 'a t -> int -> 'a -> unit
 
 val extent : 'a t -> int
@@ -143,7 +151,10 @@ module Codec : sig
       with [String.compare] on the values. *)
 
   val tuple_int : int t
+  (** Cells framed as {!Tuple.pack_int}. *)
+
   val tuple_char : char t
+  (** Cells framed as the {!Tuple.pack_int} of their code. *)
 end
 
 (** A backend recipe: what to build when a tape is created. *)
@@ -157,7 +168,7 @@ type spec =
     }
       (** one flat file of CRC-framed blocks of fixed-size slots
           (2-byte length prefix + payload, slot size from the codec's
-          [max_bytes]) behind a direct-mapped block cache with
+          [max_bytes], which must stay below 0xFF00) behind a direct-mapped block cache with
           sequential read-ahead *)
   | Shard of {
       dir : string;

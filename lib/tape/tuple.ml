@@ -25,13 +25,32 @@ let max_int_bytes = 8
 
 exception Malformed of string
 
-let bytes_needed n =
-  (* bytes needed for |n| — also the k with n + 2^(8k) - 1 >= 0 when
-     n < 0; [Int64.neg] is safe for every 63-bit OCaml int *)
-  let rec go k v =
-    if Int64.equal v 0L then max 1 k else go (k + 1) (Int64.shift_right_logical v 8)
-  in
-  go 0 (Int64.abs (Int64.of_int n))
+(* [Int n] is a code byte and [int_width n] payload bytes: the bytes in
+   |n|, read as an unsigned 63-bit word so that [abs min_int] (still
+   [min_int]) counts as 2^62.  A negative n is stored as n + 2^(8k) - 1,
+   whose k bytes are the ones' complement of |n|'s: hence the flip. *)
+let int_width n =
+  let k = ref 0 and a = ref (abs n) in
+  while !a <> 0 do
+    incr k;
+    a := !a lsr 8
+  done;
+  !k
+
+(* byte [i] (0 = the code byte, then 1..k) of [Int n], k = [int_width n] *)
+let int_byte n k i =
+  if i = 0 then Char.unsafe_chr (if n < 0 then zero_code - k else zero_code + k)
+  else
+    let flip = if n < 0 then 0xff else 0 in
+    Char.unsafe_chr ((abs n lsr (8 * (k - i))) land 0xff lxor flip)
+
+let pack_int n =
+  let k = int_width n in
+  let b = Bytes.create (k + 1) in
+  for i = 0 to k do
+    Bytes.set b i (int_byte n k i)
+  done;
+  Bytes.unsafe_to_string b
 
 let add_elt buf = function
   | Str s ->
@@ -42,21 +61,10 @@ let add_elt buf = function
           if c = '\x00' then Buffer.add_char buf '\xFF')
         s;
       Buffer.add_char buf '\x00'
-  | Int 0 -> Buffer.add_char buf (Char.chr zero_code)
-  | Int n when n > 0 ->
-      let k = bytes_needed n in
-      Buffer.add_char buf (Char.chr (zero_code + k));
-      for i = k - 1 downto 0 do
-        Buffer.add_char buf (Char.chr ((n lsr (8 * i)) land 0xff))
-      done
   | Int n ->
-      (* negative: store n + (2^(8k) - 1) so bytewise order matches *)
-      let k = bytes_needed n in
-      Buffer.add_char buf (Char.chr (zero_code - k));
-      let off = Int64.add (Int64.of_int n) (if k = 8 then Int64.minus_one else Int64.sub (Int64.shift_left 1L (8 * k)) 1L) in
-      for i = k - 1 downto 0 do
-        Buffer.add_char buf
-          (Char.chr (Int64.to_int (Int64.shift_right_logical off (8 * i)) land 0xff))
+      let k = int_width n in
+      for i = 0 to k do
+        Buffer.add_char buf (int_byte n k i)
       done
 
 let pack elts =
@@ -64,8 +72,18 @@ let pack elts =
   List.iter (add_elt buf) elts;
   Buffer.contents buf
 
-let pack_str s = pack [ Str s ]
-let pack_int n = pack [ Int n ]
+(* The common string has no 0x00 byte, so nothing needs escaping and
+   the element is one allocation; the escaping [pack] is the fallback. *)
+let pack_str s =
+  if String.contains s '\x00' then pack [ Str s ]
+  else begin
+    let n = String.length s in
+    let b = Bytes.create (n + 2) in
+    Bytes.set b 0 (Char.chr str_code);
+    Bytes.blit_string s 0 b 1 n;
+    Bytes.set b (n + 1) '\x00';
+    Bytes.unsafe_to_string b
+  end
 
 (* [scan_elt s pos] is the offset just past the element starting at
    [pos] — the self-delimiting property as a function. *)
@@ -93,11 +111,20 @@ let scan_elt s pos =
   end
   else raise (Malformed (Printf.sprintf "unknown type code 0x%02x" code))
 
+(* the integer of the int element at [pos], already bounds-checked *)
+let int_at s pos =
+  let k = Char.code s.[pos] - zero_code in
+  let flip = if k < 0 then 0xff else 0 in
+  let a = ref 0 in
+  for i = pos + 1 to pos + abs k do
+    a := (!a lsl 8) lor (Char.code s.[i] lxor flip)
+  done;
+  if k < 0 then - !a else !a
+
 let decode_elt s pos =
   let stop = scan_elt s pos in
-  let code = Char.code s.[pos] in
   let elt =
-    if code = str_code then begin
+    if Char.code s.[pos] = str_code then begin
       let buf = Buffer.create (stop - pos) in
       let i = ref (pos + 1) in
       while !i < stop - 1 do
@@ -106,19 +133,33 @@ let decode_elt s pos =
       done;
       Str (Buffer.contents buf)
     end
-    else begin
-      let k = abs (code - zero_code) in
-      let mag = ref 0L in
-      for i = pos + 1 to pos + k do
-        mag := Int64.logor (Int64.shift_left !mag 8) (Int64.of_int (Char.code s.[i]))
-      done;
-      if code >= zero_code then Int (Int64.to_int !mag)
-      else
-        let off = if k = 8 then Int64.minus_one else Int64.sub (Int64.shift_left 1L (8 * k)) 1L in
-        Int (Int64.to_int (Int64.sub !mag off))
-    end
+    else Int (int_at s pos)
   in
   (elt, stop)
+
+(* Common path: the first 0x00 is the terminator unless an 0xFF follows
+   it, so one [String.index_from] and one [String.sub] decode the
+   element; escaped strings and every error take the [decode_elt]
+   fallback. *)
+let decode_str s pos =
+  let n = String.length s in
+  let term =
+    if pos < n && Char.code s.[pos] = str_code then
+      try String.index_from s (pos + 1) '\x00' with Not_found -> n
+    else n
+  in
+  if term < n && (term + 1 = n || s.[term + 1] <> '\xFF') then
+    (String.sub s (pos + 1) (term - pos - 1), term + 1)
+  else
+    match decode_elt s pos with
+    | Str v, stop -> (v, stop)
+    | Int _, _ -> raise (Malformed "expected Str element")
+
+let decode_int s pos =
+  if pos < String.length s && Char.code s.[pos] = str_code then
+    raise (Malformed "expected Int element");
+  let stop = scan_elt s pos in
+  (int_at s pos, stop)
 
 let unpack s =
   let n = String.length s in

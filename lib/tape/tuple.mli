@@ -23,7 +23,10 @@ exception Malformed of string
 
 val pack : elt list -> string
 val pack_str : string -> string
+(** [pack [Str s]], in one allocation when [s] has no 0x00 byte. *)
+
 val pack_int : int -> string
+(** [pack [Int n]]. *)
 
 val unpack : string -> elt list
 (** Inverse of {!pack}. @raise Malformed on invalid input. *)
@@ -32,6 +35,16 @@ val decode_elt : string -> int -> elt * int
 (** [decode_elt s pos] decodes the single element starting at [pos],
     returning it with the offset just past its encoding.
     @raise Malformed *)
+
+val decode_str : string -> int -> string * int
+(** {!decode_elt} for a [Str] element, without the [elt] box: an
+    unescaped string is located with one [String.index_from] and copied
+    with one [String.sub]; escaped strings fall back to {!decode_elt}.
+    @raise Malformed also on an [Int] element *)
+
+val decode_int : string -> int -> int * int
+(** {!decode_elt} for an [Int] element, without the [elt] box.
+    @raise Malformed also on a [Str] element *)
 
 val scan_elt : string -> int -> int
 (** [scan_elt s pos] is the offset just past the single element

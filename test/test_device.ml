@@ -71,6 +71,130 @@ let test_range_prefix () =
   Alcotest.(check bool) "member < hi" true (Tu.compare_packed inside hi < 0)
 
 (* ------------------------------------------------------------------ *)
+(* CRC-32: the bytewise table loop is the oracle for slicing-by-8 *)
+
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let bytewise_crc32 buf pos len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := crc_table.((!c lxor Char.code (Bytes.get buf i)) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let any_char = QCheck.Gen.(map Char.chr (int_range 0 255))
+
+let prop_crc_offsets =
+  QCheck.Test.make ~name:"crc32_sub = bytewise at offsets 0-7, lengths 0-64"
+    ~count:100
+    (QCheck.make ~print:String.escaped QCheck.Gen.(string_size ~gen:any_char (return 72)))
+    (fun s ->
+      let b = Bytes.of_string s in
+      List.for_all
+        (fun pos ->
+          List.for_all
+            (fun len -> Tape.Device.crc32_sub b pos len = bytewise_crc32 b pos len)
+            (List.init 65 Fun.id))
+        (List.init 8 Fun.id))
+
+let prop_crc_block =
+  QCheck.Test.make ~name:"crc32 = bytewise on a 16 KiB block" ~count:20
+    (QCheck.make QCheck.Gen.(string_size ~gen:any_char (return 16384)))
+    (fun s -> Tape.Device.crc32 s = bytewise_crc32 (Bytes.of_string s) 0 16384)
+
+(* ------------------------------------------------------------------ *)
+(* codecs: byte-identical to [Tuple.pack], self-delimiting *)
+
+(* the Int64 encoder the native [Tuple.pack_int] replaced: the oracle
+   for the int format itself *)
+let int64_pack_int n =
+  let rec width k v =
+    if Int64.equal v 0L then max 1 k else width (k + 1) (Int64.shift_right_logical v 8)
+  in
+  let k = width 0 (Int64.abs (Int64.of_int n)) in
+  let code, v =
+    if n >= 0 then ((if n = 0 then 0x14 else 0x14 + k), Int64.of_int n)
+    else
+      ( 0x14 - k,
+        Int64.add (Int64.of_int n)
+          (if k = 8 then -1L else Int64.sub (Int64.shift_left 1L (8 * k)) 1L) )
+  in
+  if n = 0 then "\x14"
+  else
+    String.init (k + 1) (fun i ->
+        if i = 0 then Char.chr code
+        else
+          Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * (k - i))) land 0xff))
+
+(* [enc] matches [pack [elt]], fits [max_bytes], and decodes back to
+   [v] ending exactly at its end - also with a cell after it *)
+let check_codec (type a) name (c : a Tape.Device.Codec.t) (v : a) elt =
+  let open Tape.Device.Codec in
+  let enc = c.encode v in
+  Alcotest.(check string) (name ^ ": bytes = Tuple.pack") (Tu.pack [ elt ]) enc;
+  Alcotest.(check bool) (name ^ ": within max_bytes") true (String.length enc <= c.max_bytes);
+  let len = String.length enc in
+  Alcotest.(check bool) (name ^ ": decodes to itself") true (c.decode enc 0 = (v, len));
+  Alcotest.(check bool)
+    (name ^ ": decodes mid-stream")
+    true
+    (c.decode ("\x14" ^ enc ^ enc) 1 = (v, len + 1))
+
+let test_string_codec () =
+  let max_len = 12 in
+  let c = Tape.Device.Codec.tuple_string ~max_len in
+  List.iter
+    (fun s -> check_codec (Printf.sprintf "%S" s) c s (Tu.Str s))
+    [
+      "\x00"; "\xFF"; "\x00\xFF"; "\xFF\x00"; ""; "a\x00b";
+      String.make max_len 'z'; String.make max_len '\x00'; String.make max_len '\xFF';
+    ]
+
+let test_char_codec () =
+  for code = 0 to 255 do
+    let ch = Char.chr code in
+    check_codec (Printf.sprintf "%C" ch) Tape.Device.Codec.tuple_char ch (Tu.Int code)
+  done
+
+let test_int_codec () =
+  let bounds =
+    List.concat_map
+      (fun k -> let p = 1 lsl (8 * k) in [ p - 1; p; p + 1 ])
+      [ 1; 2; 3; 4; 5; 6; 7 ]
+  in
+  List.iter
+    (fun n ->
+      check_codec (string_of_int n) Tape.Device.Codec.tuple_int n (Tu.Int n);
+      Alcotest.(check string) (string_of_int n ^ ": Int64 oracle") (int64_pack_int n)
+        (Tu.pack_int n))
+    ([ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ bounds @ List.map (fun n -> -n) bounds)
+
+let prop_int_codec =
+  QCheck.Test.make ~name:"pack_int = Int64 oracle, decode_int inverts it" ~count:1000
+    QCheck.(make ~print:string_of_int Gen.(oneof [ int; int_range (-70000) 70000 ]))
+    (fun n ->
+      let enc = Tu.pack_int n in
+      enc = int64_pack_int n && Tu.decode_int enc 0 = (n, String.length enc))
+
+let prop_string_codec =
+  QCheck.Test.make ~name:"pack_str = pack [Str], decode_str inverts it" ~count:500
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         (* NULs and 0xFFs often enough to land on every word offset *)
+         let gen = frequency [ (1, return '\x00'); (1, return '\xFF'); (6, any_char) ] in
+         string_size ~gen (int_range 0 40)))
+    (fun s ->
+      let enc = Tu.pack_str s in
+      enc = Tu.pack [ Tu.Str s ] && Tu.decode_str (enc ^ enc) 0 = (s, String.length enc))
+
+(* ------------------------------------------------------------------ *)
 (* backends *)
 
 let spill =
@@ -205,6 +329,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_tuple_round_trip;
           QCheck_alcotest.to_alcotest prop_tuple_order;
           Alcotest.test_case "range_prefix" `Quick test_range_prefix;
+        ] );
+      ( "crc",
+        [
+          QCheck_alcotest.to_alcotest prop_crc_offsets;
+          QCheck_alcotest.to_alcotest prop_crc_block;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "string cells" `Quick test_string_codec;
+          Alcotest.test_case "all 256 chars" `Quick test_char_codec;
+          Alcotest.test_case "int boundaries" `Quick test_int_codec;
+          QCheck_alcotest.to_alcotest prop_int_codec;
+          QCheck_alcotest.to_alcotest prop_string_codec;
         ] );
       ( "backends",
         [

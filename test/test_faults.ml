@@ -295,11 +295,11 @@ let test_checkpoint_detects_corruption () =
         (Harness.Checkpoint.lookup t ~name:"exp1" = None);
       check "corrupt file removed" true (not (Sys.file_exists file)))
 
+(* the journal checksums with the device frames' CRC-32 *)
 let test_crc32_known_values () =
   (* the standard CRC-32 check value *)
-  check_int "crc32(123456789)" 0xCBF43926
-    (Harness.Checkpoint.crc32 "123456789");
-  check_int "crc32 of empty" 0 (Harness.Checkpoint.crc32 "")
+  check_int "crc32(123456789)" 0xCBF43926 (Tape.Device.crc32 "123456789");
+  check_int "crc32 of empty" 0 (Tape.Device.crc32 "")
 
 let () =
   Alcotest.run "faults"

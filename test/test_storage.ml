@@ -121,6 +121,14 @@ let test_crash_at_fires_exactly_once () =
 (* ------------------------------------------------------------------ *)
 (* corruption detection and recovery *)
 
+let be32 v =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int v);
+  Bytes.to_string b
+
+(* a written File frame: presence byte, CRC-32 of the payload, payload *)
+let frame p = "\x01" ^ be32 (Dev.crc32 p) ^ p
+
 let char_dev ?raw dir =
   Dev.instantiate ~codec:Dev.Codec.tuple_char
     (Dev.file_spec ~block_bytes:64 ~cache_blocks:1 ?raw dir)
@@ -154,6 +162,67 @@ let test_corrupt_readback_names_tape_and_offset () =
   check "detection counted" true (Dev.corrupt_detected () > before);
   (* the flip is persistent (rot at rest), but the flush of the healthy
      cached state rewrites the block: a quarantined re-read succeeds *)
+  Dev.close dev;
+  rm_rf dir
+
+(* A frame whose CRC is valid but whose slot lengths disagree with the
+   elements in them: the in-place decode must raise, not return a cell
+   cut at the wrong extent. *)
+let test_slot_length_mismatch_raises () =
+  let dir = fresh_dir () in
+  let dev = char_dev dir in
+  let slots = 64 / 4 in
+  Dev.set dev 0 'a';
+  ignore (Dev.get dev slots);
+  (* slot 0 claims 1 byte for the 2-byte 'a'; slot 1 claims 3 bytes for
+     the 2-byte 'b'; 4-byte slots, 16 to a 64-byte block *)
+  let payload =
+    "\x00\x01\x15a" ^ "\x00\x03\x15b" ^ String.make (64 - 8) '\x00'
+  in
+  (match files_under dir with
+  | [ path ] ->
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+      ignore (Unix.lseek fd 16 Unix.SEEK_SET);
+      let f = frame payload in
+      ignore (Unix.write_substring fd f 0 (String.length f));
+      Unix.close fd
+  | fs -> Alcotest.failf "expected one backing file, got %d" (List.length fs));
+  List.iter
+    (fun i ->
+      match Dev.get dev i with
+      | c -> Alcotest.failf "slot %d returned %C despite its bad length" i c
+      | exception Tape.Tuple.Malformed _ -> ())
+    [ 0; 1 ];
+  Dev.close dev;
+  rm_rf dir
+
+(* A block load that fails part-way (a short read, then EIO) leaves
+   part of the new frame in the cache line.  The line must not still
+   claim its old block: re-reading that block must go back to disk and
+   return its own cells, not the half-overwritten buffer. *)
+let test_failed_load_drops_cached_block () =
+  let dir = fresh_dir () in
+  let fault = ref `None in
+  let pread fd buf ~pos ~len ~off =
+    match !fault with
+    | `None -> Dev.Raw.real.pread fd buf ~pos ~len ~off
+    | `Short ->
+        fault := `Eio;
+        Dev.Raw.real.pread fd buf ~pos ~len:(len / 2) ~off
+    | `Eio -> raise (Unix.Unix_error (Unix.EIO, "pread", ""))
+  in
+  let dev = char_dev ~raw:(fun ~name:_ -> { Dev.Raw.real with pread }) dir in
+  let slots = 64 / 4 in
+  Dev.set dev 0 'a';
+  Dev.set dev slots 'b';
+  check "block 0 cached" true (Dev.get dev 0 = 'a');
+  fault := `Short;
+  (match Dev.get dev slots with
+  | c -> Alcotest.failf "failed load returned %C" c
+  | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
+  fault := `None;
+  check "block 0 re-read intact" true (Dev.get dev 0 = 'a');
+  check "block 1 intact" true (Dev.get dev slots = 'b');
   Dev.close dev;
   rm_rf dir
 
@@ -258,11 +327,6 @@ let test_enospc_mid_sort_leaves_no_orphans () =
 (* ------------------------------------------------------------------ *)
 (* scrub *)
 
-let be32 v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_be b 0 (Int32.of_int v);
-  Bytes.to_string b
-
 let write_file path s =
   let oc = Out_channel.open_bin path in
   Out_channel.output_string oc s;
@@ -273,7 +337,6 @@ let test_scrub_detects_and_fixes () =
   Unix.mkdir root 0o755;
   (* tape file: good frame, rotted frame, torn 3-byte tail *)
   let payload = "\x00\x04GOOD" in
-  let frame p = "\x01" ^ be32 (Dev.crc32 p) ^ p in
   write_file
     (Filename.concat root "t-0.tape")
     ("STLBTAP2" ^ be32 6 ^ be32 6
@@ -330,6 +393,10 @@ let () =
         [
           Alcotest.test_case "Corrupt carries tape + offset" `Quick
             test_corrupt_readback_names_tape_and_offset;
+          Alcotest.test_case "slot length disagreeing with its cell raises" `Quick
+            test_slot_length_mismatch_raises;
+          Alcotest.test_case "failed load drops the cached block" `Quick
+            test_failed_load_drops_cached_block;
           Alcotest.test_case "decider heals transient rot" `Quick
             test_decider_heals_transient_rot;
         ] );
