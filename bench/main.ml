@@ -92,6 +92,19 @@ let micro_tests () =
       ~chains:(Listmachine.Machines.chains_needed ~space:adv32_space - 1)
       ~optimistic:true
   in
+  (* one view run of the m=64 staircase two chains short (the
+     benchmark adversary's machine, ~29k steps): the list-machine
+     engine alone, without planning or census *)
+  let rv_space = G.Checkphi.default_space ~m:64 ~n:128 in
+  let rv_machine =
+    Listmachine.Machines.staircase_checkphi ~space:rv_space
+      ~chains:(Listmachine.Machines.chains_needed ~space:rv_space - 2)
+      ~optimistic:true
+  in
+  let rv_values =
+    let i = G.Checkphi.yes st rv_space in
+    Array.append (Problems.Instance.xs i) (Problems.Instance.ys i)
+  in
   (* one 64 KiB block round-trip through the CRC framing: a 1-block
      cache bounces between two blocks, so every iteration pays two
      evict-flushes (checksum + pwrite) and two loads (pread + verify).
@@ -173,6 +186,9 @@ let micro_tests () =
            ignore
              (Stcore.Adversary.attack ~pool:adv_pool ~seed:7 st
                 ~space:adv32_space ~machine:adv32_machine ())));
+    Test.make ~name:"nlm-run-view-staircase-m64"
+      (Staged.stage (fun () ->
+           ignore (Listmachine.Nlm.run_view rv_machine ~values:rv_values ~choices:(fun _ -> 0))));
     Test.make ~name:"sortedness-phi-4096"
       (Staged.stage (fun () ->
            ignore (Util.Permutation.sortedness (Util.Permutation.reverse_binary 4096))));

@@ -399,31 +399,183 @@ type config = {
 
 let empty_cell = cell_of_sym_array [| Open; Close |]
 
-let initial_config m =
-  let first =
-    if m.input_length = 0 then [| empty_cell |]
-    else Array.init m.input_length (fun i0 -> cell_of_sym_array [| Open; In (i0 + 1); Close |])
-  in
-  let contents =
-    Array.init m.lists (fun tau -> if tau = 0 then first else [| empty_cell |])
-  in
-  let counter = ref 0 in
-  let ids =
-    Array.map
-      (Array.map (fun _ ->
-           incr counter;
-           !counter))
-      contents
-  in
-  {
-    state = m.initial;
-    pos = Array.make m.lists 1;
-    head_dir = Array.make m.lists 1;
-    contents;
-    revs = Array.make m.lists 0;
-    ids;
-    next_id = !counter + 1;
+(* -------------------------------------------------------------- *)
+(* The mutable engine. [step] below is the persistent Definition 24(c)
+   transcription: it copies the spliced list arrays, O(list length) per
+   step. Runs that only need local views (the census) and the [Plan]
+   pilot instead drive this engine, which applies the same step in
+   place. Each list is a gap buffer whose gap sits just before the head
+   cell: slots [0, lo) hold cells 1..lo, slots [hi, cap) hold cells
+   lo+1..len, and the head is cell lo+1 in slot [hi]. Every Definition
+   24(c) case is then O(1): a move shifts one cell across the gap, an
+   overwrite is one store, insert-before fills the gap's left end and
+   insert-after slides the head cell one slot left to make room behind
+   it. When the gap closes the buffer doubles, so growth is amortized
+   O(1) per insert. Nothing shifts a list's tail: a blit into a
+   major-heap array pays a write barrier per cell, and a runner that
+   shifted tails on every splice went quadratic on census-sized lists. *)
+
+module Engine = struct
+  type glist = {
+    mutable gcells : cell array;
+    mutable gids : int array;
+    mutable lo : int;
+    mutable hi : int;
+    mutable gdir : int;
+    mutable grevs : int;
   }
+
+  type t = {
+    glists : glist array;
+    mutable next_id : int;
+    mutable max_total : int;
+    mutable max_cell : int;
+  }
+
+  let len g = g.lo + Array.length g.gcells - g.hi
+
+  let create ~lists ~input_length =
+    if lists < 1 then invalid_arg "Nlm.Engine.create: lists >= 1";
+    let first =
+      if input_length = 0 then [| empty_cell |]
+      else Array.init input_length (fun i0 -> cell_of_sym_array [| Open; In (i0 + 1); Close |])
+    in
+    (* ids count up list-major from 1 *)
+    let next_id = ref 1 in
+    let glist cells =
+      let n = Array.length cells in
+      let cap = max 16 (2 * n) in
+      let gcells = Array.make cap empty_cell and gids = Array.make cap 0 in
+      Array.iteri
+        (fun k c ->
+          gcells.(cap - n + k) <- c;
+          gids.(cap - n + k) <- !next_id;
+          incr next_id)
+        cells;
+      { gcells; gids; lo = 0; hi = cap - n; gdir = 1; grevs = 0 }
+    in
+    let glists = Array.init lists (fun tau -> glist (if tau = 0 then first else [| empty_cell |])) in
+    {
+      glists;
+      next_id = !next_id;
+      max_total = Array.fold_left (fun acc g -> acc + len g) 0 glists;
+      max_cell = Array.fold_left (fun acc c -> max acc c.len) empty_cell.len first;
+    }
+
+  let cells e = Array.map (fun g -> g.gcells.(g.hi)) e.glists
+  let positions e = Array.map (fun g -> g.lo + 1) e.glists
+  let dirs e = Array.map (fun g -> g.gdir) e.glists
+  let length e tau = len e.glists.(tau)
+  let total_revs e = Array.fold_left (fun acc g -> acc + g.grevs) 0 e.glists
+
+  let slot g index = if index <= g.lo then index - 1 else g.hi + (index - g.lo - 1)
+
+  let id_at_index e ~tau ~index =
+    let g = e.glists.(tau) in
+    if index < 1 || index > len g then invalid_arg "Nlm.Engine.id_at_index: index out of range";
+    g.gids.(slot g index)
+
+  let index_of_id e ~tau id =
+    let g = e.glists.(tau) in
+    let rec scan k = if k > len g then None else if g.gids.(slot g k) = id then Some k else scan (k + 1) in
+    scan 1
+
+  (* double the capacity, keeping the gap where it is *)
+  let grow g =
+    let cap = Array.length g.gcells in
+    let tail = cap - g.hi in
+    let gcells = Array.make (2 * cap) empty_cell and gids = Array.make (2 * cap) 0 in
+    Array.blit g.gcells 0 gcells 0 g.lo;
+    Array.blit g.gids 0 gids 0 g.lo;
+    Array.blit g.gcells g.hi gcells ((2 * cap) - tail) tail;
+    Array.blit g.gids g.hi gids ((2 * cap) - tail) tail;
+    g.gcells <- gcells;
+    g.gids <- gids;
+    g.hi <- (2 * cap) - tail
+
+  let step e ~state ~choice movements =
+    let t = Array.length e.glists in
+    if Array.length movements <> t then invalid_arg "Nlm.step: alpha returned wrong movement arity";
+    (* clamp at list ends (Definition 24(c)) *)
+    let clamped =
+      Array.mapi
+        (fun tau mv ->
+          let g = e.glists.(tau) in
+          if mv.dir <> -1 && mv.dir <> 1 then invalid_arg "Nlm.step: dir must be ±1";
+          if g.lo = 0 && mv.dir = -1 && mv.move then { dir = -1; move = false }
+          else if g.lo + 1 = len g && mv.dir = 1 && mv.move then { dir = 1; move = false }
+          else mv)
+        movements
+    in
+    let cellmoves = Array.make t 0 in
+    if Array.exists2 (fun g mv -> mv.move || mv.dir <> g.gdir) e.glists clamped then begin
+      (* the forced write: an O(t) node referencing the current cells *)
+      let y = written_cell ~state ~comps:(cells e) ~choice in
+      if y.len > e.max_cell then e.max_cell <- y.len;
+      Array.iteri
+        (fun tau mv ->
+          let g = e.glists.(tau) in
+          if mv.move then begin
+            (* overwrite (the cell keeps its id), then step off it *)
+            g.gcells.(g.hi) <- y;
+            if mv.dir = 1 then begin
+              g.gcells.(g.lo) <- g.gcells.(g.hi);
+              g.gids.(g.lo) <- g.gids.(g.hi);
+              g.lo <- g.lo + 1;
+              g.hi <- g.hi + 1
+            end
+            else begin
+              g.lo <- g.lo - 1;
+              g.hi <- g.hi - 1;
+              g.gcells.(g.hi) <- g.gcells.(g.lo);
+              g.gids.(g.hi) <- g.gids.(g.lo)
+            end;
+            cellmoves.(tau) <- mv.dir
+          end
+          else begin
+            if g.lo = g.hi then grow g;
+            let id = e.next_id in
+            e.next_id <- id + 1;
+            if g.gdir = 1 then begin
+              (* insert before the head, whose index shifts up *)
+              g.gcells.(g.lo) <- y;
+              g.gids.(g.lo) <- id;
+              g.lo <- g.lo + 1
+            end
+            else begin
+              (* insert after the head: slide the head cell left *)
+              g.hi <- g.hi - 1;
+              g.gcells.(g.hi) <- g.gcells.(g.hi + 1);
+              g.gids.(g.hi) <- g.gids.(g.hi + 1);
+              g.gcells.(g.hi + 1) <- y;
+              g.gids.(g.hi + 1) <- id
+            end
+          end;
+          if mv.dir <> g.gdir then begin
+            g.grevs <- g.grevs + 1;
+            g.gdir <- mv.dir
+          end)
+        clamped;
+      let total = Array.fold_left (fun acc g -> acc + len g) 0 e.glists in
+      if total > e.max_total then e.max_total <- total
+    end;
+    cellmoves
+
+  let config e ~state =
+    let live g arr = Array.append (Array.sub arr 0 g.lo) (Array.sub arr g.hi (Array.length arr - g.hi)) in
+    {
+      state;
+      pos = positions e;
+      head_dir = dirs e;
+      contents = Array.map (fun g -> live g g.gcells) e.glists;
+      revs = Array.map (fun g -> g.grevs) e.glists;
+      ids = Array.map (fun g -> live g g.gids) e.glists;
+      next_id = e.next_id;
+    }
+end
+
+let initial_config m =
+  Engine.config (Engine.create ~lists:m.lists ~input_length:m.input_length) ~state:m.initial
 
 let current_cells c =
   Array.mapi (fun tau p -> c.contents.(tau).(p - 1)) c.pos
@@ -549,16 +701,11 @@ let run ?(fuel = 100_000) m ~values ~choices =
 let scans tr = 1 + tr.total_revs
 
 (* -------------------------------------------------------------- *)
-(* The in-place runner. [step] is persistent: it snapshots both list
-   arrays, so a full [run] allocates O(list length) of major-heap arrays
-   per step — hundreds of MB on adversary-sized machines, and the
-   domains of a parallel census then serialize on the shared GC. The
-   skeleton pipeline only ever looks at the O(t) local view per step
-   (state, head directions, cells under the heads) plus the final
-   configuration, so [run_view] keeps the lists in growable scratch
-   buffers mutated in place (inserts memmove within one buffer — no
-   fresh arrays) and records just the views. Cells are immutable DAG
-   nodes, so captured views stay valid as the buffers shift under them. *)
+(* View runs: [Engine] steps recording only the O(t) local view per
+   step (state, head directions, cells under the heads) plus the final
+   configuration, which is all the skeleton pipeline reads. Cells are
+   immutable DAG nodes, so captured views stay valid as the gap buffers
+   shift under them. *)
 
 type view = { vstate : int; vdirs : int array; vcells : cell array }
 
@@ -576,132 +723,34 @@ type view_trace = {
 let run_view ?(fuel = 100_000) m ~values ~choices =
   if Array.length values <> m.input_length then
     invalid_arg "Nlm.run_view: values arity";
-  let t = m.lists in
-  let init = initial_config m in
-  let grow_to cap arr filler len =
-    let fresh = Array.make cap filler in
-    Array.blit arr 0 fresh 0 len;
-    fresh
-  in
-  let bufs =
-    Array.init t (fun tau ->
-        let src = init.contents.(tau) in
-        grow_to (max 16 (2 * Array.length src)) src empty_cell (Array.length src))
-  in
-  let idbufs =
-    Array.init t (fun tau ->
-        let src = init.ids.(tau) in
-        grow_to (max 16 (2 * Array.length src)) src 0 (Array.length src))
-  in
-  let lens = Array.init t (fun tau -> Array.length init.contents.(tau)) in
-  let pos = Array.copy init.pos in
-  let head_dir = Array.copy init.head_dir in
-  let revs = Array.copy init.revs in
-  let next_id = ref init.next_id in
+  let e = Engine.create ~lists:m.lists ~input_length:m.input_length in
   let state = ref m.initial in
-  let insert tau j y id =
-    (* make y cell number [j] of list [tau], shifting the tail right *)
-    let len = lens.(tau) in
-    if len = Array.length bufs.(tau) then begin
-      bufs.(tau) <- grow_to (2 * len) bufs.(tau) empty_cell len;
-      idbufs.(tau) <- grow_to (2 * len) idbufs.(tau) 0 len
-    end;
-    Array.blit bufs.(tau) (j - 1) bufs.(tau) j (len - j + 1);
-    Array.blit idbufs.(tau) (j - 1) idbufs.(tau) j (len - j + 1);
-    bufs.(tau).(j - 1) <- y;
-    idbufs.(tau).(j - 1) <- id;
-    lens.(tau) <- len + 1
-  in
-  let current_view () =
-    {
-      vstate = !state;
-      vdirs = Array.copy head_dir;
-      vcells = Array.init t (fun tau -> bufs.(tau).(pos.(tau) - 1));
-    }
-  in
+  let current_view () = { vstate = !state; vdirs = Engine.dirs e; vcells = Engine.cells e } in
   let views = ref [ current_view () ] in
   let moves = ref [] in
   let used = ref [] in
   let steps = ref 0 in
-  let max_total = ref (Array.fold_left ( + ) 0 lens) in
-  let max_cell = ref 3 in
   while not (m.is_final !state) do
     if !steps >= fuel then failwith "Nlm.run_view: out of fuel";
     let choice =
       ((choices !steps mod m.num_choices) + m.num_choices) mod m.num_choices
     in
-    let cells = Array.init t (fun tau -> bufs.(tau).(pos.(tau) - 1)) in
-    let tr = m.alpha ~values ~state:!state ~cells ~choice in
-    if Array.length tr.movements <> t then
-      invalid_arg "Nlm.run_view: alpha returned wrong movement arity";
-    let clamped =
-      Array.mapi
-        (fun tau e ->
-          if e.dir <> -1 && e.dir <> 1 then
-            invalid_arg "Nlm.run_view: dir must be ±1";
-          if pos.(tau) = 1 && e.dir = -1 && e.move then { dir = -1; move = false }
-          else if pos.(tau) = lens.(tau) && e.dir = 1 && e.move then
-            { dir = 1; move = false }
-          else e)
-        tr.movements
-    in
-    let f = Array.mapi (fun tau e -> e.move || e.dir <> head_dir.(tau)) clamped in
-    let cellmoves = Array.make t 0 in
-    if Array.exists Fun.id f then begin
-      let y = written_cell ~state:!state ~comps:cells ~choice in
-      if y.len > !max_cell then max_cell := y.len;
-      for tau = 0 to t - 1 do
-        let e = clamped.(tau) in
-        let p = pos.(tau) in
-        if e.move then begin
-          (* overwrite: the cell keeps its identity *)
-          bufs.(tau).(p - 1) <- y;
-          pos.(tau) <- (if e.dir = 1 then p + 1 else p - 1);
-          cellmoves.(tau) <- e.dir
-        end
-        else begin
-          let id = !next_id in
-          incr next_id;
-          if head_dir.(tau) = 1 then begin
-            insert tau p y id;
-            pos.(tau) <- p + 1
-          end
-          else insert tau (p + 1) y id
-        end;
-        if e.dir <> head_dir.(tau) then begin
-          revs.(tau) <- revs.(tau) + 1;
-          head_dir.(tau) <- e.dir
-        end
-      done;
-      let total = Array.fold_left ( + ) 0 lens in
-      if total > !max_total then max_total := total
-    end;
+    let tr = m.alpha ~values ~state:!state ~cells:(Engine.cells e) ~choice in
+    moves := Engine.step e ~state:!state ~choice tr.movements :: !moves;
     state := tr.next_state;
     views := current_view () :: !views;
-    moves := cellmoves :: !moves;
     used := choice :: !used;
     incr steps
   done;
-  let final =
-    {
-      state = !state;
-      pos = Array.copy pos;
-      head_dir = Array.copy head_dir;
-      contents = Array.init t (fun tau -> Array.sub bufs.(tau) 0 lens.(tau));
-      revs = Array.copy revs;
-      ids = Array.init t (fun tau -> Array.sub idbufs.(tau) 0 lens.(tau));
-      next_id = !next_id;
-    }
-  in
   {
     vaccepted = m.is_accepting !state;
     views = Array.of_list (List.rev !views);
     vmoves = Array.of_list (List.rev !moves);
     vchoices_used = Array.of_list (List.rev !used);
-    vtotal_revs = Array.fold_left ( + ) 0 revs;
-    final;
-    max_total_list_length = !max_total;
-    max_cell_size = !max_cell;
+    vtotal_revs = Engine.total_revs e;
+    final = Engine.config e ~state:!state;
+    max_total_list_length = e.Engine.max_total;
+    max_cell_size = e.Engine.max_cell;
   }
 
 let accept_probability st ?(samples = 500) ?fuel m ~values =

@@ -50,12 +50,6 @@ val cell_shape : cell -> shape
 val cell_of_syms : sym list -> cell
 (** Build a leaf cell from an explicit symbol string. *)
 
-val written_cell : state:int -> comps:cell array -> choice:int -> cell
-(** The forced-write node [a⟨x_1⟩…⟨x_t⟩⟨c⟩] of Definition 24(c) — the
-    cell {!step} writes under every head whenever some head moves or
-    turns. Exposed so {!Plan}'s pilot builds bit-identical cells
-    without paying {!step}'s array splices. *)
-
 val syms_of_cell : cell -> sym list
 (** Flattened view: the full symbol string. Cost [cell_size]. *)
 
@@ -186,17 +180,56 @@ val run : ?fuel:int -> 'v t -> values:'v array -> choices:(int -> int) -> trace
 val scans : trace -> int
 (** [1 + Σ_τ rev(ρ, τ)] — the (r,t)-bound usage. *)
 
+(** {2 The mutable engine}
+
+    {!step} is persistent, so every step copies the spliced list arrays
+    — O(list length) per step. The engine applies the same Definition
+    24(c) step in place: each list is a gap buffer with the gap just
+    before the head cell, so head moves, overwrites and both splices
+    are O(1) amortized and {!Engine.id_at_index} is O(1). It drives
+    {!run_view} and {!Plan}'s pilot; {!step}/{!run} stay the oracle. *)
+
+module Engine : sig
+  type t
+
+  val create : lists:int -> input_length:int -> t
+  (** The lists of {!initial_config}, with the same ids. *)
+
+  val step : t -> state:int -> choice:int -> movement array -> int array
+  (** One {!step} in place: clamps at list ends, and if some head moves
+      or turns writes [state⟨x_1⟩…⟨x_t⟩⟨choice⟩] (the [x_τ] are the
+      cells under the heads) into every list — over the cell a head
+      leaves, beside a head that rests. Returns the cell-movement
+      vector.
+      @raise Invalid_argument on a wrong arity or a direction not [±1]. *)
+
+  val cells : t -> cell array
+  (** The cells under the heads (a fresh array). *)
+
+  val positions : t -> int array
+  val dirs : t -> int array
+
+  val length : t -> int -> int
+  (** [length e τ] — the length of list [τ+1] (0-based list index, as
+      in {!config}). *)
+
+  val total_revs : t -> int
+
+  val id_at_index : t -> tau:int -> index:int -> int
+  (** Id of cell [index] (1-based) of list [tau+1]. O(1).
+      @raise Invalid_argument if out of range. *)
+
+  val index_of_id : t -> tau:int -> int -> int option
+  (** 1-based index of the cell of list [tau+1] with this id. O(length). *)
+end
+
 (** {2 View runs — the allocation-light fast path}
 
-    {!run} snapshots the full configuration after every step; the
-    snapshots are persistent, so each step copies the spliced list
-    arrays — O(total list length) of fresh major-heap arrays per step,
-    which on adversary-sized machines dominates the run cost and makes
-    parallel sweeps contend on the shared GC. The skeleton pipeline
-    (Definition 27) only consumes the local view of each configuration:
-    state, head directions, and the [t] cells under the heads. A view
-    run keeps the lists in scratch buffers mutated in place and records
-    exactly those views, allocating O(t) per step. *)
+    {!run} snapshots the full configuration after every step. The
+    skeleton pipeline (Definition 27) only consumes the local view of
+    each configuration: state, head directions, and the [t] cells under
+    the heads. A view run drives the {!Engine} and records exactly
+    those views, O(t) per step. *)
 
 type view = {
   vstate : int;

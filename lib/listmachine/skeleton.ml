@@ -146,12 +146,6 @@ let mem_sorted arr i =
   done;
   !lo < Array.length arr && arr.(!lo) = i
 
-(* the nonempty per-entry position sets, computed once per query *)
-let position_sets sk =
-  Array.to_list sk.entries
-  |> List.filter_map (fun e ->
-         match entry_positions_arr e with [||] -> None | ps -> Some ps)
-
 let compared sk i i' =
   Array.exists
     (fun e ->
@@ -173,22 +167,49 @@ let compared_pairs sk =
     sk.entries;
   Hashtbl.fold (fun pr () acc -> pr :: acc) tbl [] |> List.sort compare
 
-let phi_compared_count sk ~m ~phi =
-  let sets = position_sets sk in
-  let count = ref 0 in
-  for i = 1 to m do
-    let j = m + Util.Permutation.apply phi i in
-    if List.exists (fun ps -> mem_sorted ps i && mem_sorted ps j) sets then incr count
+(* Which ϕ-pairs (i, m+ϕ(i)) some View entry compares, in one pass
+   over the entries: each view's positions (1..2m) go into a bitset,
+   the still-unseen pairs are tested against it, and the pass stops as
+   soon as every pair has been seen. *)
+let phi_compared sk ~m ~phi =
+  let w = Sys.int_size in
+  let union = Array.make ((2 * m / w) + 1) 0 in
+  let mem x = union.(x / w) land (1 lsl (x mod w)) <> 0 in
+  let found = Array.make (m + 1) false in
+  (* the unseen pairs' indices are pend.(0 .. !pending-1) *)
+  let pend = Array.init m (fun i0 -> i0 + 1) and pending = ref m in
+  let e = ref 0 in
+  while !pending > 0 && !e < Array.length sk.entries do
+    (match sk.entries.(!e) with
+    | Collapsed -> ()
+    | View v ->
+        Array.fill union 0 (Array.length union) 0;
+        Array.iter
+          (fun c ->
+            Array.iter
+              (fun x -> if x <= 2 * m then union.(x / w) <- union.(x / w) lor (1 lsl (x mod w)))
+              (Nlm.cell_input_positions c))
+          v.cells;
+        let q = ref 0 in
+        while !q < !pending do
+          let i = pend.(!q) in
+          if mem i && mem (m + Util.Permutation.apply phi i) then begin
+            found.(i) <- true;
+            decr pending;
+            pend.(!q) <- pend.(!pending)
+          end
+          else incr q
+        done);
+    incr e
   done;
-  !count
+  found
+
+let phi_compared_count sk ~m ~phi =
+  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 (phi_compared sk ~m ~phi)
 
 let uncompared_phi_indices sk ~m ~phi =
-  let sets = position_sets sk in
-  List.filter
-    (fun i ->
-      let j = m + Util.Permutation.apply phi i in
-      not (List.exists (fun ps -> mem_sorted ps i && mem_sorted ps j) sets))
-    (List.init m (fun i0 -> i0 + 1))
+  let found = phi_compared sk ~m ~phi in
+  List.filter (fun i -> not found.(i)) (List.init m (fun i0 -> i0 + 1))
 
 let fnv_prime = 0x100000001b3L
 let fnv_init = 0xcbf29ce484222325L

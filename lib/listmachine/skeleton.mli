@@ -87,7 +87,9 @@ val compared_pairs : t -> (int * int) list
 val phi_compared_count : t -> m:int -> phi:Util.Permutation.t -> int
 (** For a machine with [2m] input positions: the number of
     [i ∈ {1..m}] such that positions [i] and [m + ϕ(i)] are compared —
-    the quantity Lemma 38 bounds by [t^{2r} · sortedness(ϕ)]. *)
+    the quantity Lemma 38 bounds by [t^{2r} · sortedness(ϕ)]. One pass
+    over the entries with a per-view position bitset, stopping once
+    every pair is seen; agrees with {!compared}. *)
 
 val uncompared_phi_indices : t -> m:int -> phi:Util.Permutation.t -> int list
 (** The [i ∈ {1..m}] with [(i, m+ϕ(i))] {e not} compared — the indices

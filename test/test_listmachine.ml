@@ -386,23 +386,45 @@ let test_staircase_solves_checkphi () =
 (* ------------------------------------------------------------------ *)
 (* Random data-oblivious machines: model-level properties *)
 
-let random_plan seed ~with_check =
+(* Random plan steps on two lists. Short scripts (12-28 steps) stay
+   inside the engine's initial 16-slot gap buffers; long ones (200-300
+   steps) grow them several times, and also send raw movement vectors
+   (clamps, turns, simultaneous moves) and park heads at a list end
+   facing left, so resting heads splice in after themselves at the ends
+   of long lists. *)
+let random_planner seed ~long =
   let st = Random.State.make [| seed |] in
   let m = 4 + Random.State.int st 3 in
   let p = Plan.create ~lists:2 ~input_length:m () in
-  for _ = 1 to 12 + Random.State.int st 16 do
-    match Random.State.int st 4 with
+  let n = if long then 200 + Random.State.int st 100 else 12 + Random.State.int st 16 in
+  let dir () = if Random.State.bool st then 1 else -1 in
+  while Plan.steps_planned p < n do
+    match Random.State.int st (if long then 8 else 4) with
     | 0 -> Plan.pause p ()
+    | 4 -> Plan.move p (Array.init 2 (fun _ -> { Nlm.dir = dir (); move = Random.State.bool st }))
+    | 5 ->
+        let tau = 1 + Random.State.int st 2 in
+        if Random.State.bool st then Plan.rewind p ~tau
+        else
+          while (Plan.positions p).(tau - 1) < Plan.list_length p tau do
+            Plan.advance p ~tau ~dir:1
+          done;
+        let movements = Array.map (fun d -> { Nlm.dir = d; move = false }) (Plan.dirs p) in
+        movements.(tau - 1) <- { Nlm.dir = -1; move = false };
+        Plan.move p movements
     | _ -> (
         let tau = 1 + Random.State.int st 2 in
-        let dir = if Random.State.bool st then 1 else -1 in
-        try Plan.advance p ~tau ~dir with Invalid_argument _ -> Plan.pause p ())
+        try Plan.advance p ~tau ~dir:(dir ()) with Invalid_argument _ -> Plan.pause p ())
   done;
+  (st, m, p)
+
+let random_plan ?(long = false) seed ~with_check =
+  let _, m, p = random_planner seed ~long in
   (if with_check then begin
      (* attach one honest check between two visible input positions *)
      let visible =
        Array.to_list (Plan.cells p)
-       |> List.concat_map Nlm.cell_inputs
+       |> List.concat_map (fun c -> Array.to_list (Nlm.cell_input_positions c))
        |> List.sort_uniq Int.compare
      in
      match visible with
@@ -440,71 +462,102 @@ let prop_view_run_matches_run =
     QCheck.(int_bound 100000)
     (fun seed ->
       let st = Random.State.make [| seed + 41 |] in
-      let m, machine = random_plan seed ~with_check:true in
-      let values = values_for st m in
-      let tr = Nlm.run machine ~values ~choices:(fun _ -> 0) in
-      let vt = Nlm.run_view machine ~values ~choices:(fun _ -> 0) in
-      let sk_full = Skeleton.of_trace tr in
-      let sk_view = Skeleton.of_views vt in
-      let last = tr.Nlm.configs.(Array.length tr.Nlm.configs - 1) in
-      let final = vt.Nlm.final in
-      tr.Nlm.accepted = vt.Nlm.vaccepted
-      && tr.Nlm.total_revs = vt.Nlm.vtotal_revs
-      && tr.Nlm.choices_used = vt.Nlm.vchoices_used
-      && Skeleton.equal sk_full sk_view
-      && Skeleton.hash sk_full = Skeleton.hash sk_view
-      && last.Nlm.state = final.Nlm.state
-      && last.Nlm.pos = final.Nlm.pos
-      && last.Nlm.head_dir = final.Nlm.head_dir
-      && last.Nlm.revs = final.Nlm.revs
-      && last.Nlm.ids = final.Nlm.ids
-      && Array.for_all2
-           (fun a b -> Array.length a = Array.length b && Array.for_all2 Nlm.cell_equal a b)
-           last.Nlm.contents final.Nlm.contents)
+      List.for_all
+        (fun long ->
+          let m, machine = random_plan ~long seed ~with_check:true in
+          let values = values_for st m in
+          let tr = Nlm.run machine ~values ~choices:(fun _ -> 0) in
+          let vt = Nlm.run_view machine ~values ~choices:(fun _ -> 0) in
+          let sk_full = Skeleton.of_trace tr in
+          let sk_view = Skeleton.of_views vt in
+          let last = tr.Nlm.configs.(Array.length tr.Nlm.configs - 1) in
+          let final = vt.Nlm.final in
+          tr.Nlm.accepted = vt.Nlm.vaccepted
+          && tr.Nlm.total_revs = vt.Nlm.vtotal_revs
+          && tr.Nlm.choices_used = vt.Nlm.vchoices_used
+          && Skeleton.equal sk_full sk_view
+          && Skeleton.hash sk_full = Skeleton.hash sk_view
+          && last.Nlm.state = final.Nlm.state
+          && last.Nlm.pos = final.Nlm.pos
+          && last.Nlm.head_dir = final.Nlm.head_dir
+          && last.Nlm.revs = final.Nlm.revs
+          && last.Nlm.ids = final.Nlm.ids
+          && last.Nlm.next_id = final.Nlm.next_id
+          && Array.for_all2
+               (fun a b ->
+                 Array.length a = Array.length b && Array.for_all2 Nlm.cell_equal a b)
+               last.Nlm.contents final.Nlm.contents
+          && vt.Nlm.max_total_list_length
+             = Array.fold_left
+                 (fun acc c -> max acc (Array.fold_left (fun a l -> a + Array.length l) 0 c.Nlm.contents))
+                 0 tr.Nlm.configs
+          && vt.Nlm.max_cell_size
+             = Array.fold_left
+                 (fun acc c ->
+                   Array.fold_left (Array.fold_left (fun a x -> max a (Nlm.cell_size x))) acc c.Nlm.contents)
+                 0 tr.Nlm.configs)
+        [ false; true ])
 
-(* The linked-list pilot must report exactly what a real [Nlm.step]
-   replay of the built script produces: same positions, directions,
-   reversal totals, cell identities and list lengths. Cell contents are
-   compared through their input-position sets — a plan-time forced
-   write carries state 0 where the replay carries the step index, and
-   the position set is precisely the abstraction plan-time checks are
-   allowed to rely on. *)
+(* The pilot must report exactly what a real [Nlm.step] replay of the
+   built script produces: same positions, directions, reversal totals,
+   cell identities and list lengths. Cell contents are compared through
+   their input-position sets — a plan-time forced write carries state 0
+   where the replay carries the step index, and the position set is
+   precisely the abstraction plan-time checks are allowed to rely on. *)
 let prop_plan_pilot_matches_replay =
   QCheck.Test.make ~name:"plan pilot agrees with an Nlm.step replay" ~count:60
     QCheck.(int_bound 100000)
     (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let m = 4 + Random.State.int st 3 in
-      let p = Plan.create ~lists:2 ~input_length:m () in
-      for _ = 1 to 12 + Random.State.int st 16 do
-        match Random.State.int st 4 with
-        | 0 -> Plan.pause p ()
-        | _ -> (
-            let tau = 1 + Random.State.int st 2 in
-            let dir = if Random.State.bool st then 1 else -1 in
-            try Plan.advance p ~tau ~dir with Invalid_argument _ -> Plan.pause p ())
-      done;
-      let machine = Plan.build p ~name:"pilot-parity" ~accept_at_end:true in
-      let values = values_for st m in
-      let tr = Nlm.run machine ~values ~choices:(fun _ -> 0) in
-      let last = tr.Nlm.configs.(Array.length tr.Nlm.configs - 1) in
-      let lists = Array.length last.Nlm.pos in
-      last.Nlm.pos = Plan.positions p
-      && last.Nlm.head_dir = Plan.dirs p
-      && Array.fold_left ( + ) 0 last.Nlm.revs = Plan.reversals_planned p
-      && List.for_all
-           (fun tau ->
-             let ids = last.Nlm.ids.(tau - 1) in
-             Array.length ids = Plan.list_length p tau
-             && Plan.id_at p ~tau = ids.((Plan.positions p).(tau - 1) - 1)
-             && Array.for_all Fun.id
-                  (Array.mapi
-                     (fun i0 id -> Plan.id_at_index p ~tau ~index:(i0 + 1) = id)
-                     ids))
-           (List.init lists (fun t -> t + 1))
-      && Array.for_all2
-           (fun a b -> Nlm.cell_input_positions a = Nlm.cell_input_positions b)
-           (Nlm.current_cells last) (Plan.cells p))
+      List.for_all
+        (fun long ->
+          let st, m, p = random_planner seed ~long in
+          let machine = Plan.build p ~name:"pilot-parity" ~accept_at_end:true in
+          let values = values_for st m in
+          let tr = Nlm.run machine ~values ~choices:(fun _ -> 0) in
+          let last = tr.Nlm.configs.(Array.length tr.Nlm.configs - 1) in
+          let lists = Array.length last.Nlm.pos in
+          last.Nlm.pos = Plan.positions p
+          && last.Nlm.head_dir = Plan.dirs p
+          && Array.fold_left ( + ) 0 last.Nlm.revs = Plan.reversals_planned p
+          && List.for_all
+               (fun tau ->
+                 let ids = last.Nlm.ids.(tau - 1) in
+                 Array.length ids = Plan.list_length p tau
+                 && Plan.id_at p ~tau = ids.((Plan.positions p).(tau - 1) - 1)
+                 && Array.for_all Fun.id
+                      (Array.mapi
+                         (fun i0 id -> Plan.id_at_index p ~tau ~index:(i0 + 1) = id)
+                         ids))
+               (List.init lists (fun t -> t + 1))
+          && Array.for_all2
+               (fun a b -> Nlm.cell_input_positions a = Nlm.cell_input_positions b)
+               (Nlm.current_cells last) (Plan.cells p))
+        [ false; true ])
+
+(* [Skeleton.compared] is the Definition 33 oracle for the one-pass
+   ϕ-pair index behind [phi_compared_count] / [uncompared_phi_indices]:
+   random plans over 2m' inputs, a random ϕ on m' points. *)
+let prop_phi_compared_matches_oracle =
+  QCheck.Test.make ~name:"phi-compared index agrees with compared" ~count:60
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let st = Random.State.make [| seed + 71 |] in
+      List.for_all
+        (fun long ->
+          let m, machine = random_plan ~long seed ~with_check:false in
+          let m' = m / 2 in
+          let phi = P.random st m' in
+          let sk =
+            Skeleton.of_views (Nlm.run_view machine ~values:(values_for st m) ~choices:(fun _ -> 0))
+          in
+          let oracle =
+            List.filter
+              (fun i -> not (Skeleton.compared sk i (m' + P.apply phi i)))
+              (List.init m' (fun i0 -> i0 + 1))
+          in
+          Skeleton.uncompared_phi_indices sk ~m:m' ~phi = oracle
+          && Skeleton.phi_compared_count sk ~m:m' ~phi = m' - List.length oracle)
+        [ false; true ])
 
 let prop_intern_matches_structural_equality =
   QCheck.Test.make
@@ -678,6 +731,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_plans_skeleton_oblivious;
           QCheck_alcotest.to_alcotest prop_view_run_matches_run;
           QCheck_alcotest.to_alcotest prop_plan_pilot_matches_replay;
+          QCheck_alcotest.to_alcotest prop_phi_compared_matches_oracle;
           QCheck_alcotest.to_alcotest prop_intern_matches_structural_equality;
           QCheck_alcotest.to_alcotest prop_random_plans_composition_never_violated;
         ] );
